@@ -5,13 +5,16 @@ pulse, exp(-i h_x T1 sum_i sigma_x^i), and an Ising interaction step,
 exp(-i T2 sum_bonds J_b sigma_z^i sigma_z^j). Both steps are applied
 exactly: the field as N single-qubit rotations (the sigma_x terms commute
 across sites) and the interaction as a precomputed diagonal phase mask,
-so one period costs O(N 2^N). Dense matrices are only built on demand for
-eigendecomposition.
+so one period costs O(N 2^N). The dense matrix, built only on demand for
+eigendecomposition, is the same product in closed form: the field step is
+the N-fold Kronecker power of one 2x2 rotation, and the Ising step scales
+its rows or columns by the diagonal phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -242,13 +245,19 @@ class FloquetOperator:
         return self._field_step(t)
 
     def dense(self) -> np.ndarray:
-        """The full 2^N x 2^N unitary, column k = U_F |k>."""
-        matrix = np.empty((self.dim, self.dim), dtype=np.complex128)
-        column = np.zeros(self.dim, dtype=np.complex128)
-        for k in range(self.dim):
-            column[k] = 1.0
-            matrix[:, k] = self.apply(column)
-            column[k] = 0.0
+        """The full 2^N x 2^N unitary, column k = U_F |k>.
+
+        The field step is the N-fold Kronecker power of the single-qubit
+        rotation [[cos, -i sin], [-i sin, cos]]; the diagonal Ising phase
+        then scales its rows (ising after field) or its columns (ising
+        before field).
+        """
+        rotation = np.array([[self._cos, self._misin], [self._misin, self._cos]])
+        matrix = reduce(np.kron, [rotation] * self.spec.n_qubits)
+        if self.spec.protocol.step_order == FIELD_THEN_ISING:
+            matrix *= self._ising_factor[:, np.newaxis]
+        else:
+            matrix *= self._ising_factor[np.newaxis, :]
         return matrix
 
 

@@ -27,15 +27,6 @@ def dimension(n_qubits: int) -> int:
     return 1 << validate_qubit_count(n_qubits)
 
 
-def n_qubits_of(state: np.ndarray) -> int:
-    """Infer the qubit count from a state's length."""
-    size = len(state)
-    n = size.bit_length() - 1
-    if size != 1 << n or not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"state length {size} is not 2**N with 1 <= N <= {MAX_QUBITS}")
-    return n
-
-
 def all_zero_state(n_qubits: int) -> np.ndarray:
     """The fully z-polarized state |00...0>."""
     psi = np.zeros(dimension(n_qubits), dtype=np.complex128)

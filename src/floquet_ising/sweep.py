@@ -2,8 +2,9 @@
 
 Grid cells are independent work items; results are reduced by cell index,
 so a sweep is a deterministic function of the grid regardless of worker
-count or schedule. A failing cell is recorded as nan instead of aborting
-the sweep.
+count or schedule. A cell whose numerics fail (a NumericalError or a
+LinAlgError) is recorded as nan instead of aborting the sweep; any other
+exception aborts it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import metrology, quasienergy, spectral
 from .dynamics import magnetization_series
+from .errors import NumericalError
 from .model import FIELD_THEN_ISING, TARGET_HX, TARGET_J, ModelSpec, default_boundary
 from .states import all_zero_state
 
@@ -94,7 +96,7 @@ class PhaseDiagram:
 
 
 def _cell_value(task: tuple) -> float:
-    """Evaluate one diagnostic at one grid cell; nan on per-cell failure."""
+    """Evaluate one diagnostic at one grid cell; nan on a numerical failure."""
     diagnostic, grid, hx_t, j_t, settings = task
     if diagnostic not in DIAGNOSTICS:
         raise ValueError(f"diagnostic must be one of {DIAGNOSTICS}, got {diagnostic!r}")
@@ -117,9 +119,10 @@ def _cell_value(task: tuple) -> float:
         target = TARGET_HX if diagnostic == KAPPA_HX else TARGET_J
         series = metrology.qfi_series(spec, target, psi0, settings.n_max)
         return metrology.curvature_fit(series, settings.fit_window).a
-    except Exception:
+    except (NumericalError, np.linalg.LinAlgError):
         # eigensolver edge cases at exact degeneracies must not destroy a
-        # long sweep; the cell keeps a not-a-value marker
+        # long sweep; the cell keeps a not-a-value marker. Any other
+        # exception is a bug and propagates.
         return np.nan
 
 

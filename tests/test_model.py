@@ -16,7 +16,7 @@ from floquet_ising.model import (
     default_boundary,
 )
 
-from conftest import random_state
+from conftest import dense_by_columns, random_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -169,6 +169,20 @@ class TestDenseUnitary:
         for order in (FIELD_THEN_ISING, ISING_THEN_FIELD):
             spec = ModelSpec.dimensionless(2, h, j, step_order=order)
             assert np.abs(FloquetOperator(spec).dense() - dense_oracle(spec)).max() < 1e-13
+
+    @pytest.mark.parametrize("order", [FIELD_THEN_ISING, ISING_THEN_FIELD])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kronecker_form_matches_column_construction(self, rng, n, order):
+        # the closed-form dense() against U_F applied to every basis state
+        for boundary in [CHAIN] + ([RING] if n >= 3 else []):
+            n_bonds = len(ModelSpec.dimensionless(n, 0.0, 0.0, boundary=boundary).bonds())
+            uniform = 0.0 if n == 1 else rng.uniform(0, np.pi)
+            for j in (uniform, rng.uniform(0, np.pi, size=n_bonds)):
+                spec = ModelSpec.dimensionless(
+                    n, rng.uniform(0, np.pi), j, boundary=boundary, step_order=order
+                )
+                op = FloquetOperator(spec)
+                assert np.abs(op.dense() - dense_by_columns(op)).max() <= 1e-15
 
 
 class TestDerivative:

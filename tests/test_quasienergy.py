@@ -6,12 +6,41 @@ from floquet_ising.errors import NumericalError
 from floquet_ising.model import CHAIN, FloquetOperator, ModelSpec
 from floquet_ising.quasienergy import (
     QuasienergyAnalysis,
+    _cluster_indices,
     circle_distance,
     default_pair_tolerance,
     detect_pi_pairs,
     floquet_eigensystem,
     overlap_weight,
 )
+
+from conftest import full_eig_eigensystem
+
+
+def sorted_from_cut(epsilons, reference):
+    """Quasienergies (T = 1) sorted from a cut in the widest gap of reference,
+    so a value at the +-pi fold cannot change its rank."""
+    zone = 2.0 * np.pi
+    ref = np.sort(reference % zone)
+    gaps = np.diff(ref, append=ref[0] + zone)
+    cut = ref[np.argmax(gaps)] + gaps.max() / 2
+    return np.sort((epsilons - cut) % zone)
+
+
+def splits_a_cluster(analysis):
+    """True when pi-pairing takes only part of a degenerate eigenspace; the
+    overlap weight then depends on the basis chosen inside that space."""
+    paired = {k for pair in analysis.pairs for k in pair}
+    clusters = _cluster_indices(np.exp(-1j * analysis.epsilons * analysis.period))
+    return any(0 < len(paired.intersection(c)) < len(c) for c in clusters)
+
+
+def eigenspace_weights(analysis, eigenvalues, psi0):
+    """|psi0|^2 weight of the eigenspace of each given eigenvalue (basis-free)."""
+    own = np.exp(-1j * analysis.epsilons * analysis.period)
+    weights = np.abs(analysis.eigenvectors.conj().T @ psi0) ** 2
+    same = np.abs(eigenvalues[:, np.newaxis] - own[np.newaxis, :]) < 1e-8
+    return same @ weights
 
 
 class TestEigensystem:
@@ -52,6 +81,49 @@ class TestEigensystem:
                 analysis = floquet_eigensystem(ModelSpec.dimensionless(3, h, j))
                 gram = analysis.eigenvectors.conj().T @ analysis.eigenvectors
                 assert np.abs(gram - np.eye(8)).max() < 1e-8
+
+
+class TestParityBlocks:
+    LINE = np.linspace(0.0, np.pi, 5)[1:]
+    POINTS = (
+        [(0.0, 0.0), (np.pi, np.pi), (2.6, 1.57), (1.1, 2.3)]
+        + [(0.0, j) for j in LINE]
+        + [(h, 0.0) for h in LINE]
+    )
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_matches_full_eig_oracle(self, n):
+        psi0 = states.all_zero_state(n)
+        for h, j in self.POINTS:
+            spec = ModelSpec.dimensionless(n, h, j)
+            blocks = detect_pi_pairs(floquet_eigensystem(spec))
+            oracle = detect_pi_pairs(full_eig_eigensystem(spec))
+            assert np.abs(
+                sorted_from_cut(blocks.epsilons, oracle.epsilons)
+                - sorted_from_cut(oracle.epsilons, oracle.epsilons)
+            ).max() <= 1e-12
+            assert abs(blocks.pair_fraction - oracle.pair_fraction) <= 1e-10
+            eigenvalues = np.exp(-1j * blocks.epsilons)
+            assert np.abs(
+                eigenspace_weights(blocks, eigenvalues, psi0)
+                - eigenspace_weights(oracle, eigenvalues, psi0)
+            ).max() <= 1e-10
+            if not (splits_a_cluster(blocks) or splits_a_cluster(oracle)):
+                assert abs(
+                    overlap_weight(blocks, psi0) - overlap_weight(oracle, psi0)
+                ) <= 1e-10
+
+    @pytest.mark.parametrize("n, h, j", [(3, 2.6, 1.57), (7, 0.8 * np.pi, 0.65 * np.pi)])
+    def test_eigenvectors_have_parity_and_pairs_join_sectors(self, n, h, j):
+        # non-degenerate period-doubling points; (0.8 pi, 0.65 pi) is cell
+        # (48, 39) of the 61 x 61 production grid
+        analysis = detect_pi_pairs(floquet_eigensystem(ModelSpec.dimensionless(n, h, j)))
+        v = analysis.eigenvectors
+        # the global flip P reverses the basis order; sign = <v|P v>
+        sign = np.sign(np.sum(v[::-1].conj() * v, axis=0).real)
+        assert np.abs(v[::-1] - sign[np.newaxis, :] * v).max() <= 1e-12
+        assert analysis.pairs
+        assert all(sign[a] == -sign[b] for a, b in analysis.pairs)
 
 
 class TestCircleDistance:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from floquet_ising.errors import NumericalError
 from floquet_ising.model import CHAIN, TARGET_HX, TARGET_J
 from floquet_ising.sweep import (
     GridSpec,
@@ -134,18 +135,29 @@ class TestDeterminismAndIsolation:
         b = sweep_diagnostic(toy_grid, "pi_fraction")
         assert np.array_equal(a.values, b.values)
 
-    def test_cell_failure_is_isolated(self, toy_grid, monkeypatch):
-        # one poisoned cell must not abort the sweep
+    @staticmethod
+    def poison_row(monkeypatch, error):
+        """Make every cell of the h_x T = pi/4 row raise error."""
         from floquet_ising import sweep as sweep_module
 
         real = sweep_module.magnetization_series
 
         def poisoned(model, psi0, n_max):
             if abs(model.h_x - np.pi / 4) < 1e-9:
-                raise RuntimeError("injected failure")
+                raise error
             return real(model, psi0, n_max)
 
         monkeypatch.setattr(sweep_module, "magnetization_series", poisoned)
+
+    def test_cell_failure_is_isolated(self, toy_grid, monkeypatch):
+        # one cell with failed numerics must not abort the sweep
+        self.poison_row(monkeypatch, NumericalError("injected failure"))
         diagram = sweep_diagnostic(toy_grid, "weight")
         assert np.isnan(diagram.values[1, :]).all()
         assert np.isfinite(diagram.values[[0, 2, 3, 4], :]).all()
+
+    def test_programming_error_propagates(self, toy_grid, monkeypatch):
+        # anything but a numerical failure is a bug and must not become nan
+        self.poison_row(monkeypatch, RuntimeError("injected bug"))
+        with pytest.raises(RuntimeError, match="injected bug"):
+            sweep_diagnostic(toy_grid, "weight")
