@@ -52,7 +52,6 @@ from .quasienergy import (
 from .spectral import (
     PowerSpectrum,
     SubharmonicDiagnostic,
-    dynamic_signal,
     power_spectrum,
     subharmonic_weight,
 )
@@ -63,7 +62,6 @@ from .sweep import (
     PhaseDiagram,
     SweepSettings,
     classify_pd,
-    curvature_map,
     sweep_diagnostic,
 )
 
@@ -99,11 +97,9 @@ __all__ = [
     "circle_distance",
     "classify_pd",
     "curvature_fit",
-    "curvature_map",
     "default_boundary",
     "default_pair_tolerance",
     "detect_pi_pairs",
-    "dynamic_signal",
     "evolve_with_derivative",
     "expectation_diagonal",
     "floquet_eigensystem",

@@ -23,64 +23,41 @@ from .errors import NumericalError
 from .model import CHAIN, RING, STEP_ORDERS, TARGET_HX, TARGET_J, ModelSpec
 from .states import all_zero_state
 
-_FLAG_MAP = {
-    # (config section, key)
-    "n_qubits": ("model", "n_qubits"),
-    "hxt": ("model", "hx_t"),
-    "jt": ("model", "j_t"),
-    "boundary": ("model", "boundary"),
-    "period": ("model", "period"),
-    "t1_fraction": ("model", "t1_fraction"),
-    "step_order": ("model", "step_order"),
-    "couplings": ("model", "couplings"),
-    "discard": ("analysis", "transient_discard"),
-    "samples": ("analysis", "spectrum_samples"),
-    "n_max": ("analysis", "n_max"),
-    "pair_tolerance": ("analysis", "pair_tolerance"),
-    "fit_window": ("analysis", "fit_window"),
-    "pd_threshold": ("analysis", "pd_threshold"),
-    "h_min": ("sweep", "h_min"),
-    "h_max": ("sweep", "h_max"),
-    "h_count": ("sweep", "h_count"),
-    "j_min": ("sweep", "j_min"),
-    "j_max": ("sweep", "j_max"),
-    "j_count": ("sweep", "j_count"),
-    "workers": ("sweep", "workers"),
-    "output_dir": ("output", "directory"),
-    "format": ("output", "format"),
-}
-
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    """Config override flags; each flag's dest is its key in the config sections."""
     parser.add_argument("--config", help="config file (INI sections or a run.json sidecar)")
     model = parser.add_argument_group("model")
-    model.add_argument("-N", "--n-qubits", type=int, dest="n_qubits")
-    model.add_argument("--hxt", type=float, help="dimensionless field h_x*T")
-    model.add_argument("--jt", type=float, help="dimensionless coupling J*T")
+    model.add_argument("-N", "--n-qubits", type=int)
+    model.add_argument("--hxt", type=float, dest="hx_t", help="dimensionless field h_x*T")
+    model.add_argument("--jt", type=float, dest="j_t", help="dimensionless coupling J*T")
     model.add_argument("--boundary", choices=["auto", RING, CHAIN])
     model.add_argument("--period", type=float, help="driving period T (default 1)")
-    model.add_argument("--t1-fraction", type=float, dest="t1_fraction", help="T1/T (default 0.5)")
-    model.add_argument("--step-order", choices=list(STEP_ORDERS), dest="step_order")
+    model.add_argument("--t1-fraction", type=float, help="T1/T (default 0.5)")
+    model.add_argument("--step-order", choices=list(STEP_ORDERS))
     model.add_argument("--couplings", help="comma list of per-bond J*T values")
     analysis = parser.add_argument_group("analysis")
-    analysis.add_argument("--discard", type=int, help="transient periods to drop (default 50)")
-    analysis.add_argument("--samples", type=int, help="spectral window length (default 512)")
-    analysis.add_argument("--n-max", type=int, dest="n_max", help="metrology horizon in periods (default 200)")
-    analysis.add_argument("--pair-tolerance", type=float, dest="pair_tolerance",
+    analysis.add_argument("--discard", type=int, dest="transient_discard",
+                          help="transient periods to drop (default 50)")
+    analysis.add_argument("--samples", type=int, dest="spectrum_samples",
+                          help="spectral window length (default 512)")
+    analysis.add_argument("--n-max", type=int, help="metrology horizon in periods (default 200)")
+    analysis.add_argument("--pair-tolerance", type=float,
                           help="pi-pair gap tolerance (default 0.05*pi/T)")
-    analysis.add_argument("--fit-window", type=float, dest="fit_window", help="tail fraction for curvature fits")
-    analysis.add_argument("--pd-threshold", type=float, dest="pd_threshold", help="PD classification threshold")
+    analysis.add_argument("--fit-window", type=float, help="tail fraction for curvature fits")
+    analysis.add_argument("--pd-threshold", type=float, help="PD classification threshold")
     out = parser.add_argument_group("output")
-    out.add_argument("-o", "--output-dir", dest="output_dir")
+    out.add_argument("-o", "--output-dir", dest="directory")
     out.add_argument("--format", choices=["csv", "json"])
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    for flag, (section, key) in _FLAG_MAP.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            config.set(section, key, value)
+    for section, values in config.to_dict().items():
+        for key in values:
+            value = getattr(args, key, None)
+            if value is not None:
+                config.set(section, key, value)
     return config.validate()
 
 
@@ -153,12 +130,10 @@ def _cmd_spectrum(args) -> int:
     series = stroboscopic_trajectory(
         spec, psi0, discard + samples, [total_magnetization(spec.n_qubits)]
     )[0]
-    signal = series.values[discard : discard + samples]
-    spectrum = spectral.power_spectrum(signal - signal.mean(), period=spec.protocol.period)
     diagnostic = spectral.subharmonic_weight(series, discard, samples)
     directory = _out_dir(config)
-    files = [output.write_spectrum(directory, spectrum, config.output.format)]
-    dominant = int(1 + np.argmax(spectrum.powers[1:]))
+    files = [output.write_spectrum(directory, diagnostic.spectrum, config.output.format)]
+    dominant = int(1 + np.argmax(diagnostic.spectrum.powers[1:]))
     summary = {
         "weight": diagnostic.weight,
         "dominant_bin": dominant,
@@ -213,10 +188,7 @@ def _cmd_cfi(args) -> int:
     spec = _build_model(config)
     psi0 = all_zero_state(spec.n_qubits)
     observable = observable_by_label(args.observable, spec.n_qubits)
-    mode = metrology.MODE_EXACT if args.gradient_mode == "exact" else metrology.MODE_FINITE_DIFFERENCE
-    series = metrology.cfi_series(
-        spec, _theta(args), observable, psi0, config.analysis.n_max, mode=mode
-    )
+    series = metrology.cfi_series(spec, _theta(args), observable, psi0, config.analysis.n_max)
     directory = _out_dir(config)
     files = [output.write_fisher_series(directory, series, config.output.format)]
     try:
@@ -298,19 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     cfi = commands.add_parser("cfi", help="classical Fisher information series + curvature fit")
     cfi.add_argument("--theta", choices=["hx", "j"], required=True, help="estimation target")
     cfi.add_argument("--observable", choices=["mz", "czz"], default="mz")
-    cfi.add_argument("--gradient-mode", choices=["exact", "finite-difference"],
-                     default="exact", dest="gradient_mode")
     cfi.set_defaults(handler=_cmd_cfi)
 
     sweep_cmd = commands.add_parser("sweep", help="evaluate a diagnostic over an (h_x T, J T) grid")
     sweep_cmd.add_argument("--diag", choices=list(_DIAG_BY_FLAG), default="weight")
     grid = sweep_cmd.add_argument_group("grid")
-    grid.add_argument("--h-min", type=float, dest="h_min")
-    grid.add_argument("--h-max", type=float, dest="h_max")
-    grid.add_argument("--h-count", type=int, dest="h_count")
-    grid.add_argument("--j-min", type=float, dest="j_min")
-    grid.add_argument("--j-max", type=float, dest="j_max")
-    grid.add_argument("--j-count", type=int, dest="j_count")
+    grid.add_argument("--h-min", type=float)
+    grid.add_argument("--h-max", type=float)
+    grid.add_argument("--h-count", type=int)
+    grid.add_argument("--j-min", type=float)
+    grid.add_argument("--j-max", type=float)
+    grid.add_argument("--j-count", type=int)
     grid.add_argument("--workers", type=int, help="parallel worker processes (default 1)")
     sweep_cmd.set_defaults(handler=_cmd_sweep)
 

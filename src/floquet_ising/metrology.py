@@ -21,7 +21,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import states
 from .dynamics import DiagonalObservable
 from .model import TARGET_HX, TARGET_J, FloquetOperator, ModelSpec, as_operator
 
@@ -57,20 +56,19 @@ def evolve_with_derivative(
     """Yield (psi_n, d psi_n) for n = 0..n_max.
 
     Product rule over periods: d psi_{n+1} = U d psi_n + (dU) psi_n with
-    d psi_0 = 0, costing O(n_max) propagator applications.
+    d psi_0 = 0, one stacked propagator pass per period.
     """
     op = as_operator(model)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if target == TARGET_J and not op.spec.uniform:
         raise ValueError("J-derivative requires uniform couplings")
-    psi = np.asarray(psi0, dtype=np.complex128).copy()
+    psi = np.array(psi0, dtype=np.complex128)
     op._require_dim(psi)
     dpsi = np.zeros_like(psi)
-    yield DerivativeState(psi=psi.copy(), dpsi=dpsi.copy(), target=target, n=0)
+    yield DerivativeState(psi=psi, dpsi=dpsi, target=target, n=0)
     for n in range(1, n_max + 1):
-        dpsi = op.apply(dpsi) + op.apply_derivative(target, psi)
-        psi = op.apply(psi)
+        psi, dpsi = op.apply_with_derivative(target, psi, dpsi)
         yield DerivativeState(psi=psi, dpsi=dpsi, target=target, n=n)
 
 
@@ -170,24 +168,17 @@ def qfi_finite_difference(
     return 8.0 * (1.0 - fidelity) / delta**2
 
 
-MODE_EXACT = "exact"
-MODE_FINITE_DIFFERENCE = "finite_difference"
-
-
 def cfi_series(
     model: ModelSpec | FloquetOperator,
     target: str,
     observable: DiagonalObservable,
     psi0: np.ndarray,
     n_max: int,
-    mode: str = MODE_EXACT,
-    delta: float = 1e-5,
 ) -> FisherSeries:
     """Error-propagation CFI of a diagonal observable, with degeneracy flags.
 
-    mode "exact" takes d<X>/d theta = 2 Re <d psi|X|psi> from the derivative
-    recurrence; "finite_difference" re-derives the gradient from trajectories
-    at theta +- delta (slower, used for cross-checks).
+    The gradient d<X>/d theta = 2 Re <d psi|X|psi> comes from the exact
+    derivative recurrence.
     """
     op = as_operator(model)
     if len(observable.diag) != op.dim:
@@ -199,32 +190,11 @@ def cfi_series(
     expectations = np.empty(n_max + 1)
     second_moments = np.empty(n_max + 1)
     gradients = np.empty(n_max + 1)
-
-    if mode == MODE_EXACT:
-        for state in evolve_with_derivative(op, target, psi0, n_max):
-            probs = state.psi.real**2 + state.psi.imag**2
-            expectations[state.n] = probs @ diag
-            second_moments[state.n] = probs @ (diag * diag)
-            gradients[state.n] = 2.0 * np.vdot(state.dpsi, diag * state.psi).real
-    elif mode == MODE_FINITE_DIFFERENCE:
-        plus = FloquetOperator(_shifted_spec(op.spec, target, delta))
-        minus = FloquetOperator(_shifted_spec(op.spec, target, -delta))
-        psi = np.asarray(psi0, dtype=np.complex128)
-        psi_p = psi.copy()
-        psi_m = psi.copy()
-        for n in range(n_max + 1):
-            probs = psi.real**2 + psi.imag**2
-            expectations[n] = probs @ diag
-            second_moments[n] = probs @ (diag * diag)
-            exp_p = states.expectation_diagonal(psi_p, diag)
-            exp_m = states.expectation_diagonal(psi_m, diag)
-            gradients[n] = (exp_p - exp_m) / (2.0 * delta)
-            if n < n_max:
-                psi = op.apply(psi)
-                psi_p = plus.apply(psi_p)
-                psi_m = minus.apply(psi_m)
-    else:
-        raise ValueError(f"unknown CFI mode {mode!r}")
+    for state in evolve_with_derivative(op, target, psi0, n_max):
+        probs = state.psi.real**2 + state.psi.imag**2
+        expectations[state.n] = probs @ diag
+        second_moments[state.n] = probs @ (diag * diag)
+        gradients[state.n] = 2.0 * np.vdot(state.dpsi, diag * state.psi).real
 
     variances = second_moments - expectations**2
     values = np.full(n_max + 1, np.nan)

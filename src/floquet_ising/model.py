@@ -2,19 +2,20 @@
 
 Each driving period of length T alternates two steps: a global x-field
 pulse, exp(-i h_x T1 sum_i sigma_x^i), and an Ising interaction step,
-exp(-i T2 sum_bonds J_b sigma_z^i sigma_z^j). Both steps are applied
-exactly: the field as N single-qubit rotations (the sigma_x terms commute
-across sites) and the interaction as a precomputed diagonal phase mask,
-so one period costs O(N 2^N). The dense matrix, built only on demand for
-eigendecomposition, is the same product in closed form: the field step is
-the N-fold Kronecker power of one 2x2 rotation, and the Ising step scales
-its rows or columns by the diagonal phase.
+exp(-i T2 sum_bonds J_b sigma_z^i sigma_z^j). Each step is a sum of
+commuting terms that is diagonal in its own basis: the field in the
+Hadamard basis, where sum_i sigma_x^i has eigenvalue N - 2 popcount(s),
+and the interaction in the Z basis. A period is therefore two diagonal
+phases, with one Walsh-Hadamard transform W into and out of the field
+basis; W is applied as two small +-1 Kronecker factors, so one period
+costs O(2^(3N/2)) and keeps exact zeros exact. The derivative of a step
+with respect to its parameter is the same phase times a diagonal
+generator, and the dense matrix is one period applied to the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -154,18 +155,33 @@ class ModelSpec:
         return replace(self, couplings=j)
 
 
+def _hadamard(bits: int) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard matrix on `bits` qubits, entry (a, b) = (-1)^popcount(a & b)."""
+    index = np.arange(1 << bits)
+    both = index[:, np.newaxis] & index[np.newaxis, :]
+    parity = np.zeros_like(both)
+    for pos in range(bits):
+        parity ^= (both >> pos) & 1
+    return 1.0 - 2.0 * parity
+
+
 class FloquetOperator:
     """Exact stroboscopic propagator for one driving period.
 
+    The period is a table of steps in drive order, each a diagonal phase in
+    its own basis with the diagonal generator of its parameter derivative.
     Immutable after construction; safe to share across sweep workers.
     """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         n = spec.n_qubits
+        p = spec.protocol
         self.dim = 1 << n
-        self._shape = (2,) * n
 
+        # sum_i sigma_x^i in the Hadamard basis; the 1/2^N of the
+        # unnormalised transform rides on the field phase
+        x_sum = (n - 2 * states.popcounts(n)).astype(float)
         # diagonal of sum_bonds J_b z_i z_j and its unweighted counterpart
         # (the J-derivative generator for uniform couplings)
         zz_weighted = np.zeros(self.dim)
@@ -174,91 +190,73 @@ class FloquetOperator:
             pair = states.z_values(n, i) * states.z_values(n, j)
             zz_weighted += j_b * pair
             zz_plain += pair
-        self.ising_phases = spec.protocol.t2 * zz_weighted
-        self.zz_diag = zz_plain
-        self._ising_factor = np.exp(-1j * self.ising_phases)
 
-        self.field_angle = spec.h_x * spec.protocol.t1
-        self._cos = np.cos(self.field_angle)
-        self._misin = -1j * np.sin(self.field_angle)
+        # (in Hadamard basis, phase, derivative generator, target)
+        field_phase = np.exp(-1j * spec.h_x * p.t1 * x_sum) / self.dim
+        field = (True, field_phase, -1j * p.t1 * x_sum, TARGET_HX)
+        ising = (False, np.exp(-1j * p.t2 * zz_weighted), -1j * p.t2 * zz_plain, TARGET_J)
+        self._steps = (field, ising) if p.step_order == FIELD_THEN_ISING else (ising, field)
+        # complex like the states: no cast per product, and one BLAS kernel
+        self._w_hi = _hadamard(n // 2).astype(np.complex128)
+        self._w_lo = _hadamard(n - n // 2).astype(np.complex128)
 
     def _require_dim(self, psi: np.ndarray) -> None:
         if len(psi) != self.dim:
             raise ValueError(f"dimension mismatch: state has {len(psi)}, operator needs {self.dim}")
 
-    def _field_step(self, psi: np.ndarray) -> np.ndarray:
-        """exp(-i h_x T1 sum_i sigma_x^i) as N exact 2x2 rotations."""
-        out = np.array(psi, dtype=np.complex128).reshape(self._shape)
-        for axis in range(self.spec.n_qubits):
-            view = np.moveaxis(out, axis, 0)
-            a = view[0].copy()
-            view[0] *= self._cos
-            view[0] += self._misin * view[1]
-            view[1] *= self._cos
-            view[1] += self._misin * a
-        return out.reshape(self.dim)
+    def _transform(self, block: np.ndarray) -> np.ndarray:
+        """Unnormalised Hadamard transform W of every row.
 
-    def _ising_step(self, psi: np.ndarray) -> np.ndarray:
-        return psi * self._ising_factor
+        Each row is a (2^(N//2), 2^(N - N//2)) grid, on which
+        W = W_hi (x) W_lo acts as W_hi @ grid @ W_lo.
+        """
+        rows = len(block)
+        grid = block.reshape(rows, len(self._w_hi), len(self._w_lo))
+        return (self._w_hi @ grid @ self._w_lo).reshape(rows, self.dim)
+
+    def _period(self, block: np.ndarray, target: str | None = None) -> np.ndarray:
+        """One period on every row of a (k, dim) block.
+
+        On the step that carries `target`, row 1 also gains the derivative
+        of that step applied to row 0, so rows (psi, dpsi) come back as
+        (U psi, U dpsi + dU psi).
+        """
+        block = np.array(block, dtype=np.complex128)
+        for in_hadamard, phase, generator, step_target in self._steps:
+            if in_hadamard:
+                block = self._transform(block)
+            block *= phase
+            if step_target == target:
+                block[1] += generator * block[0]
+            if in_hadamard:
+                block = self._transform(block)
+        return block
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """One period of evolution, U_F |psi>."""
         self._require_dim(psi)
-        if self.spec.protocol.step_order == FIELD_THEN_ISING:
-            return self._ising_step(self._field_step(psi))
-        return self._field_step(self._ising_step(psi))
+        return self._period([psi])[0]
 
-    def apply_sigma_x_sum(self, psi: np.ndarray) -> np.ndarray:
-        """(sum_i sigma_x^i) |psi>."""
-        self._require_dim(psi)
-        src = np.asarray(psi, dtype=np.complex128).reshape(self._shape)
-        out = np.zeros_like(src)
-        for axis in range(self.spec.n_qubits):
-            v = np.moveaxis(src, axis, 0)
-            o = np.moveaxis(out, axis, 0)
-            o[0] += v[1]
-            o[1] += v[0]
-        return out.reshape(self.dim)
-
-    def apply_derivative(self, target: str, psi: np.ndarray) -> np.ndarray:
-        """(d U_F / d theta) |psi>, exact for theta in {h_x, uniform J}.
+    def apply_with_derivative(
+        self, target: str, psi: np.ndarray, dpsi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(U_F psi, U_F dpsi + (dU_F / d theta) psi), exact for theta in {h_x, uniform J}.
 
         Each step Hamiltonian is linear in its parameter and commutes with
         its own derivative, so no step-size enters here.
         """
         self._require_dim(psi)
+        self._require_dim(dpsi)
         if target not in TARGETS:
             raise ValueError(f"derivative target must be one of {TARGETS}, got {target!r}")
         if target == TARGET_J and not self.spec.uniform:
             raise ValueError("J-derivative requires uniform couplings")
-        p = self.spec.protocol
-        if p.step_order == FIELD_THEN_ISING:
-            if target == TARGET_HX:
-                t = self.apply_sigma_x_sum(self._field_step(psi))
-                return (-1j * p.t1) * self._ising_step(t)
-            t = self._ising_step(self._field_step(psi))
-            return (-1j * p.t2) * (self.zz_diag * t)
-        if target == TARGET_HX:
-            t = self._field_step(self._ising_step(psi))
-            return (-1j * p.t1) * self.apply_sigma_x_sum(t)
-        t = (-1j * p.t2) * (self.zz_diag * self._ising_step(psi))
-        return self._field_step(t)
+        block = self._period([psi, dpsi], target)
+        return block[0], block[1]
 
     def dense(self) -> np.ndarray:
-        """The full 2^N x 2^N unitary, column k = U_F |k>.
-
-        The field step is the N-fold Kronecker power of the single-qubit
-        rotation [[cos, -i sin], [-i sin, cos]]; the diagonal Ising phase
-        then scales its rows (ising after field) or its columns (ising
-        before field).
-        """
-        rotation = np.array([[self._cos, self._misin], [self._misin, self._cos]])
-        matrix = reduce(np.kron, [rotation] * self.spec.n_qubits)
-        if self.spec.protocol.step_order == FIELD_THEN_ISING:
-            matrix *= self._ising_factor[:, np.newaxis]
-        else:
-            matrix *= self._ising_factor[np.newaxis, :]
-        return matrix
+        """The full 2^N x 2^N unitary, column k = U_F |k>, from one period on every basis row."""
+        return self._period(np.eye(self.dim)).T
 
 
 def as_operator(model: ModelSpec | FloquetOperator) -> FloquetOperator:

@@ -196,6 +196,9 @@ def detect_pi_pairs(
 def overlap_weight(analysis: QuasienergyAnalysis, psi0: np.ndarray) -> float:
     """Share of the initial state's eigenbasis weight held by pi-paired states.
 
+    Each degenerate eigenspace contributes its |psi0|^2 weight times the
+    share of its states that are pi-paired, so the result does not depend
+    on the basis the eigensolver picked inside a degenerate eigenspace.
     The denominator sums |<phi_gamma|psi0>|^2 over the full eigenbasis and
     must come out as 1 for a complete orthonormal basis; a deviation beyond
     1e-6 signals a bad eigenbasis and raises.
@@ -210,8 +213,15 @@ def overlap_weight(analysis: QuasienergyAnalysis, psi0: np.ndarray) -> float:
             f"eigenbasis overlap weights sum to {denominator!r}, expected 1 "
             "(non-orthonormal eigenbasis?)"
         )
-    paired = [k for pair in analysis.pairs for k in pair]
-    return float(weights[paired].sum() / denominator) if paired else 0.0
+    paired = np.zeros(analysis.dim, dtype=bool)
+    paired[[k for pair in analysis.pairs for k in pair]] = True
+    order = np.argsort(analysis.epsilons, kind="stable")
+    eigenvalues = np.exp(-1j * analysis.epsilons[order] * analysis.period)
+    weight = 0.0
+    for cluster in _cluster_indices(eigenvalues):
+        members = order[cluster]
+        weight += weights[members].sum() * paired[members].mean()
+    return float(weight / denominator)
 
 
 def analyze(

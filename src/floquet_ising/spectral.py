@@ -27,17 +27,6 @@ def _series_values(series) -> np.ndarray:
     return np.asarray(series, dtype=float)
 
 
-def dynamic_signal(series, discard: int) -> np.ndarray:
-    """Drop the first `discard` samples and subtract the remaining mean."""
-    values = _series_values(series)
-    if discard < 0:
-        raise ValueError(f"discard must be >= 0, got {discard}")
-    if len(values) <= discard:
-        raise ValueError(f"series of length {len(values)} is too short to discard {discard}")
-    tail = values[discard:]
-    return tail - tail.mean()
-
-
 @dataclass
 class PowerSpectrum:
     """P_k = |DFT_k|^2 of a real signal; bin frequencies f_k = k/(M T)."""
@@ -86,9 +75,11 @@ def subharmonic_band(samples: int, band_fraction: float = SUBHARMONIC_BAND_FRACT
 
 @dataclass
 class SubharmonicDiagnostic:
-    """Relative spectral weight near f = 1/(2T), bounded in [0, 1]."""
+    """Relative spectral weight near f = 1/(2T), bounded in [0, 1], and the
+    power spectrum of the window it was taken from."""
 
     weight: float
+    spectrum: PowerSpectrum
     transient_discard: int = 50
     sample_count: int = 512
     band: tuple[int, int] = (256, 256)
@@ -110,6 +101,8 @@ def subharmonic_weight(
     values = _series_values(series)
     if samples < 4 or samples % 2:
         raise ValueError(f"samples must be even and >= 4, got {samples}")
+    if discard < 0:
+        raise ValueError(f"discard must be >= 0, got {discard}")
     if len(values) < discard + samples:
         raise ValueError(
             f"series of length {len(values)} cannot provide {discard} transient + {samples} analysis samples"
@@ -126,5 +119,9 @@ def subharmonic_weight(
     else:
         weight = float(spectrum.powers[lo : hi + 1].sum() / total)
     return SubharmonicDiagnostic(
-        weight=weight, transient_discard=discard, sample_count=samples, band=(lo, hi)
+        weight=weight,
+        spectrum=spectrum,
+        transient_discard=discard,
+        sample_count=samples,
+        band=(lo, hi),
     )

@@ -163,17 +163,3 @@ def classify_pd(diagram: PhaseDiagram, threshold: float = DEFAULT_PD_THRESHOLD) 
     diagram.classification = flags
     return flags
 
-
-def curvature_map(
-    grid: GridSpec,
-    target: str,
-    n_max: int = 200,
-    window_fraction: float = 0.5,
-    workers: int = 1,
-) -> PhaseDiagram:
-    """QFI curvature (the fitted a) per cell for one estimation target."""
-    if target not in (TARGET_HX, TARGET_J):
-        raise ValueError(f"target must be '{TARGET_HX}' or '{TARGET_J}', got {target!r}")
-    settings = SweepSettings(n_max=n_max, fit_window=window_fraction, workers=workers)
-    name = KAPPA_HX if target == TARGET_HX else KAPPA_J
-    return sweep_diagnostic(grid, name, settings)

@@ -1,8 +1,11 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from floquet_ising import ModelSpec
-from floquet_ising.model import FloquetOperator
+from floquet_ising import ModelSpec, states
+from floquet_ising.metrology import VARIANCE_CUTOFF, _shifted_spec
+from floquet_ising.model import FIELD_THEN_ISING, FloquetOperator
 from floquet_ising.quasienergy import QuasienergyAnalysis, _cluster_indices
 
 
@@ -29,15 +32,44 @@ def non_pd_spec():
     return ModelSpec.dimensionless(3, 2.6, 0.1)
 
 
-def dense_by_columns(op: FloquetOperator) -> np.ndarray:
-    """Reference dense propagator, column k = op.apply(e_k)."""
-    matrix = np.empty((op.dim, op.dim), dtype=np.complex128)
-    column = np.zeros(op.dim, dtype=np.complex128)
-    for k in range(op.dim):
-        column[k] = 1.0
-        matrix[:, k] = op.apply(column)
-        column[k] = 0.0
-    return matrix
+def dense_by_kronecker(op: FloquetOperator) -> np.ndarray:
+    """Reference dense propagator in closed form: the field step is the N-fold
+    Kronecker power of the single-qubit rotation [[cos, -i sin], [-i sin, cos]],
+    and the diagonal Ising phase scales its rows (ising after field) or its
+    columns (ising before field)."""
+    spec = op.spec
+    angle = spec.h_x * spec.protocol.t1
+    rotation = np.array([[np.cos(angle), -1j * np.sin(angle)], [-1j * np.sin(angle), np.cos(angle)]])
+    matrix = reduce(np.kron, [rotation] * spec.n_qubits)
+    zz = np.zeros(op.dim)
+    for (i, j), j_b in zip(spec.bonds(), spec.bond_values()):
+        zz += j_b * states.z_values(spec.n_qubits, i) * states.z_values(spec.n_qubits, j)
+    ising = np.exp(-1j * spec.protocol.t2 * zz)
+    if spec.protocol.step_order == FIELD_THEN_ISING:
+        return matrix * ising[:, np.newaxis]
+    return matrix * ising[np.newaxis, :]
+
+
+def cfi_finite_difference(spec, target, observable, psi0, n_max, delta=1e-5) -> np.ndarray:
+    """Reference CFI values with the gradient d<X>/d theta taken from
+    trajectories at theta +- delta; nan where Var(X) is degenerate."""
+    ops = [FloquetOperator(spec)] + [
+        FloquetOperator(_shifted_spec(spec, target, shift)) for shift in (delta, -delta)
+    ]
+    psis = [np.asarray(psi0, dtype=np.complex128)] * 3
+    diag = np.asarray(observable.diag, dtype=float)
+    values = np.full(n_max + 1, np.nan)
+    for n in range(n_max + 1):
+        psi, psi_p, psi_m = psis
+        mean = states.expectation_diagonal(psi, diag)
+        variance = states.expectation_diagonal(psi, diag * diag) - mean**2
+        gradient = (
+            states.expectation_diagonal(psi_p, diag) - states.expectation_diagonal(psi_m, diag)
+        ) / (2.0 * delta)
+        if variance >= VARIANCE_CUTOFF:
+            values[n] = gradient**2 / variance
+        psis = [op.apply(p) for op, p in zip(ops, psis)]
+    return values
 
 
 def full_eig_eigensystem(spec: ModelSpec) -> QuasienergyAnalysis:
@@ -45,7 +77,7 @@ def full_eig_eigensystem(spec: ModelSpec) -> QuasienergyAnalysis:
     ignoring the parity symmetry; same folding, ordering and cluster
     re-orthonormalization as the package."""
     period = spec.protocol.period
-    eigenvalues, eigenvectors = np.linalg.eig(dense_by_columns(FloquetOperator(spec)))
+    eigenvalues, eigenvectors = np.linalg.eig(dense_by_kronecker(FloquetOperator(spec)))
     epsilons = -np.angle(eigenvalues) / period
     epsilons[epsilons <= -np.pi / period] += 2.0 * np.pi / period
     order = np.argsort(epsilons, kind="stable")

@@ -16,7 +16,7 @@ from floquet_ising.model import (
     default_boundary,
 )
 
-from conftest import dense_by_columns, random_state
+from conftest import dense_by_kronecker, random_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -173,7 +173,8 @@ class TestDenseUnitary:
     @pytest.mark.parametrize("order", [FIELD_THEN_ISING, ISING_THEN_FIELD])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_kronecker_form_matches_column_construction(self, rng, n, order):
-        # the closed-form dense() against U_F applied to every basis state
+        # dense(), one period on every basis state, against the closed-form
+        # Kronecker product
         for boundary in [CHAIN] + ([RING] if n >= 3 else []):
             n_bonds = len(ModelSpec.dimensionless(n, 0.0, 0.0, boundary=boundary).bonds())
             uniform = 0.0 if n == 1 else rng.uniform(0, np.pi)
@@ -182,23 +183,46 @@ class TestDenseUnitary:
                     n, rng.uniform(0, np.pi), j, boundary=boundary, step_order=order
                 )
                 op = FloquetOperator(spec)
-                assert np.abs(op.dense() - dense_by_columns(op)).max() <= 1e-15
+                assert np.abs(op.dense() - dense_by_kronecker(op)).max() <= 1e-15
+
+
+def derivative(op: FloquetOperator, target: str, psi: np.ndarray) -> np.ndarray:
+    """(dU_F / d theta)|psi>, the derivative row of a stacked pass with dpsi = 0."""
+    return op.apply_with_derivative(target, psi, np.zeros_like(psi))[1]
 
 
 class TestDerivative:
+    @pytest.mark.parametrize("order", [FIELD_THEN_ISING, ISING_THEN_FIELD])
+    @pytest.mark.parametrize("target", [TARGET_HX, TARGET_J])
+    def test_stacked_pass_is_apply_plus_product_rule(self, rng, order, target):
+        # (psi, dpsi) -> (U psi, U dpsi + dU psi)
+        op = FloquetOperator(ModelSpec.dimensionless(4, 1.3, 0.7, step_order=order))
+        psi, dpsi = random_state(4, rng), random_state(4, rng)
+        new_psi, new_dpsi = op.apply_with_derivative(target, psi, dpsi)
+        assert np.abs(new_psi - op.apply(psi)).max() <= 1e-15
+        assert np.abs(new_dpsi - op.apply(dpsi) - derivative(op, target, psi)).max() <= 1e-15
+
+    def test_target_and_dimension_validation(self, pd_spec):
+        op = FloquetOperator(pd_spec)
+        psi = states.all_zero_state(3)
+        with pytest.raises(ValueError, match="target"):
+            op.apply_with_derivative("bogus", psi, psi)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op.apply_with_derivative(TARGET_HX, psi, states.all_zero_state(2))
+
     def test_diagonal_closed_form_for_coupling(self):
         # h_x = 0, ring: (dU/dJ)|000> = -i 3 T2 e^{-i 3 J T2}|000>
         j = 0.9
         spec = ModelSpec(n_qubits=3, h_x=0.0, couplings=j, boundary=RING)
         op = FloquetOperator(spec)
-        out = op.apply_derivative(TARGET_J, states.all_zero_state(3))
+        out = derivative(op, TARGET_J, states.all_zero_state(3))
         expected = -1.5j * np.exp(-1.5j * j)
         assert out[0] == pytest.approx(expected, abs=1e-15)
 
     def test_single_qubit_field_closed_form(self):
         spec = ModelSpec.dimensionless(1, 1.7, 0.0, boundary=CHAIN)
         op = FloquetOperator(spec)
-        out = op.apply_derivative(TARGET_HX, states.all_zero_state(1))
+        out = derivative(op, TARGET_HX, states.all_zero_state(1))
         theta = spec.h_x * spec.protocol.t1
         expected = -1j * spec.protocol.t1 * (SX @ expm(-1j * theta * SX))[:, 0]
         assert np.abs(out - expected).max() < 1e-15
@@ -207,15 +231,15 @@ class TestDerivative:
         spec = ModelSpec.dimensionless(3, 1.0, [0.4, 0.5, 0.6])
         op = FloquetOperator(spec)
         with pytest.raises(ValueError, match="uniform"):
-            op.apply_derivative(TARGET_J, states.all_zero_state(3))
-        op.apply_derivative(TARGET_HX, states.all_zero_state(3))  # field target still fine
+            derivative(op, TARGET_J, states.all_zero_state(3))
+        derivative(op, TARGET_HX, states.all_zero_state(3))  # field target still fine
 
     @pytest.mark.parametrize("target", [TARGET_HX, TARGET_J])
     def test_matches_finite_difference_at_pd_point(self, pd_spec, target):
         op = FloquetOperator(pd_spec)
         psi = states.all_zero_state(3)
         delta = 1e-6
-        exact = op.apply_derivative(target, psi)
+        exact = derivative(op, target, psi)
         if target == TARGET_HX:
             up = FloquetOperator(pd_spec.with_h_x(pd_spec.h_x + delta))
             down = FloquetOperator(pd_spec.with_h_x(pd_spec.h_x - delta))
@@ -235,7 +259,7 @@ class TestDerivative:
             spec = ModelSpec.dimensionless(3, h, j, step_order=order)
             op = FloquetOperator(spec)
             psi = random_state(3, rng)
-            exact = op.apply_derivative(target, psi)
+            exact = derivative(op, target, psi)
             if target == TARGET_HX:
                 up = FloquetOperator(spec.with_h_x(spec.h_x + delta))
                 down = FloquetOperator(spec.with_h_x(spec.h_x - delta))

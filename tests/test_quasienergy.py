@@ -27,14 +27,6 @@ def sorted_from_cut(epsilons, reference):
     return np.sort((epsilons - cut) % zone)
 
 
-def splits_a_cluster(analysis):
-    """True when pi-pairing takes only part of a degenerate eigenspace; the
-    overlap weight then depends on the basis chosen inside that space."""
-    paired = {k for pair in analysis.pairs for k in pair}
-    clusters = _cluster_indices(np.exp(-1j * analysis.epsilons * analysis.period))
-    return any(0 < len(paired.intersection(c)) < len(c) for c in clusters)
-
-
 def eigenspace_weights(analysis, eigenvalues, psi0):
     """|psi0|^2 weight of the eigenspace of each given eigenvalue (basis-free)."""
     own = np.exp(-1j * analysis.epsilons * analysis.period)
@@ -108,10 +100,7 @@ class TestParityBlocks:
                 eigenspace_weights(blocks, eigenvalues, psi0)
                 - eigenspace_weights(oracle, eigenvalues, psi0)
             ).max() <= 1e-10
-            if not (splits_a_cluster(blocks) or splits_a_cluster(oracle)):
-                assert abs(
-                    overlap_weight(blocks, psi0) - overlap_weight(oracle, psi0)
-                ) <= 1e-10
+            assert abs(overlap_weight(blocks, psi0) - overlap_weight(oracle, psi0)) <= 1e-10
 
     @pytest.mark.parametrize("n, h, j", [(3, 2.6, 1.57), (7, 0.8 * np.pi, 0.65 * np.pi)])
     def test_eigenvectors_have_parity_and_pairs_join_sectors(self, n, h, j):

@@ -5,7 +5,6 @@ from floquet_ising import states
 from floquet_ising.dynamics import magnetization_series
 from floquet_ising.model import ModelSpec
 from floquet_ising.spectral import (
-    dynamic_signal,
     power_spectrum,
     subharmonic_band,
     subharmonic_weight,
@@ -13,28 +12,33 @@ from floquet_ising.spectral import (
 
 
 class TestDynamicSignal:
+    """The mean-subtracted post-transient window behind subharmonic_weight,
+    seen through the spectrum it returns."""
+
     def test_constant_series_is_zeroed(self):
-        out = dynamic_signal(np.full(80, 2.5), discard=10)
-        assert np.all(out == 0.0)
+        diagnostic = subharmonic_weight(np.full(80, 2.5), discard=10, samples=64)
+        assert np.all(diagnostic.spectrum.powers == 0.0)
+        assert diagnostic.weight == 0.0
 
     def test_alternating_signal_untouched(self):
         x = 3.0 * (-1.0) ** np.arange(100)
-        out = dynamic_signal(x, discard=20)  # even remaining length
-        assert np.array_equal(out, x[20:])
-        assert abs(out.mean()) < 1e-12
+        diagnostic = subharmonic_weight(x, discard=20, samples=80)  # mean exactly 0
+        assert np.array_equal(diagnostic.spectrum.powers, power_spectrum(x[20:]).powers)
+        assert diagnostic.weight == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_is_removed(self, rng):
-        out = dynamic_signal(rng.normal(size=300) + 7.0, discard=50)
-        assert abs(out.mean()) < 1e-12
+        diagnostic = subharmonic_weight(rng.normal(size=300) + 7.0, discard=50, samples=250)
+        assert diagnostic.spectrum.powers[0] < (250 * 1e-12) ** 2
 
     def test_too_short(self):
-        with pytest.raises(ValueError, match="too short"):
-            dynamic_signal(np.zeros(10), discard=10)
+        with pytest.raises(ValueError, match="cannot provide"):
+            subharmonic_weight(np.zeros(10), discard=10, samples=4)
 
     def test_pd_pipeline_signal_is_mean_zero(self, pd_spec):
         series = magnetization_series(pd_spec, states.all_zero_state(3), 562)
-        out = dynamic_signal(series, discard=50)
-        assert abs(out.mean()) < 1e-12
+        diagnostic = subharmonic_weight(series, discard=50, samples=512)
+        assert diagnostic.spectrum.powers[0] < (512 * 1e-12) ** 2
+        assert diagnostic.spectrum.sample_count == 512
 
 
 class TestPowerSpectrum:
@@ -69,8 +73,8 @@ class TestPowerSpectrum:
         assert spectrum.frequencies[4] == pytest.approx(0.25)  # 1/(2T)
 
     def test_zero_bin_vanishes_for_mean_subtracted_input(self, rng):
-        x = dynamic_signal(rng.normal(size=562) + 3.0, discard=50)
-        spectrum = power_spectrum(x)
+        tail = (rng.normal(size=562) + 3.0)[50:]
+        spectrum = power_spectrum(tail - tail.mean())
         assert spectrum.powers[0] <= 1e-10 * spectrum.powers.sum()
 
     @pytest.mark.parametrize("length", [3, 7, 2])
@@ -133,6 +137,10 @@ class TestSubharmonicWeight:
     def test_insufficient_samples(self):
         with pytest.raises(ValueError, match="cannot provide"):
             subharmonic_weight(np.zeros(100), discard=50, samples=512)
+
+    def test_negative_discard_rejected(self):
+        with pytest.raises(ValueError, match="discard"):
+            subharmonic_weight(np.zeros(600), discard=-1, samples=512)
 
     def test_odd_samples_rejected(self):
         with pytest.raises(ValueError, match="even"):

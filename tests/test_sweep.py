@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from floquet_ising.errors import NumericalError
-from floquet_ising.model import CHAIN, TARGET_HX, TARGET_J
+from floquet_ising.model import CHAIN
 from floquet_ising.sweep import (
+    KAPPA_HX,
+    KAPPA_J,
     GridSpec,
     SweepSettings,
     classify_pd,
-    curvature_map,
     sweep_diagnostic,
 )
 
@@ -111,17 +112,13 @@ class TestCurvatureMaps:
     def test_free_row_closed_form(self):
         # J = 0: F_Q(h_x) = 4 N T1^2 t^2, so the fitted a is 8 N T1^2 = 2N
         grid = GridSpec(h_range=(0.8, 2.4, 3), j_range=(0.0, 1.0, 2), n_qubits=3)
-        diagram = curvature_map(grid, TARGET_HX, n_max=60)
+        diagram = sweep_diagnostic(grid, KAPPA_HX, SweepSettings(n_max=60))
         assert np.abs(diagram.values[:, 0] - 6.0).max() < 1e-9
 
     def test_zero_field_column_is_insensitive(self):
         grid = GridSpec(h_range=(0.0, 1.0, 2), j_range=(0.5, 1.5, 3), n_qubits=3)
-        diagram = curvature_map(grid, TARGET_J, n_max=60)
+        diagram = sweep_diagnostic(grid, KAPPA_J, SweepSettings(n_max=60))
         assert np.abs(diagram.values[0, :]).max() < 1e-9
-
-    def test_target_validation(self, toy_grid):
-        with pytest.raises(ValueError, match="target"):
-            curvature_map(toy_grid, "bogus")
 
 
 class TestDeterminismAndIsolation:
