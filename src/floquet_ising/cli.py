@@ -156,6 +156,7 @@ def _cmd_quasi(args) -> int:
         "f_pi": analysis.pair_fraction,
         "w_overlap": overlap,
         "n_pairs": len(analysis.pairs),
+        "health": {"modulus_error": analysis.modulus_error, "residual": analysis.residual},
     }
     return _finish(directory, "quasi", config, summary, files)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .model import BOUNDARIES, FIELD_THEN_ISING, STEP_ORDERS
+from .quasienergy import default_pair_tolerance
 
 
 @dataclass
@@ -158,4 +159,4 @@ class RunConfig:
     def pair_tolerance(self) -> float:
         if self.analysis.pair_tolerance > 0:
             return self.analysis.pair_tolerance
-        return 0.05 * math.pi / self.model.period
+        return default_pair_tolerance(self.model.period)

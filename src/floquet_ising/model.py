@@ -191,10 +191,13 @@ class FloquetOperator:
             zz_weighted += j_b * pair
             zz_plain += pair
 
+        # Z-basis diagonal of the Ising step, exp(-i T2 sum_bonds J_b z_i z_j)
+        self.ising_phase = np.exp(-1j * p.t2 * zz_weighted)
+
         # (in Hadamard basis, phase, derivative generator, target)
         field_phase = np.exp(-1j * spec.h_x * p.t1 * x_sum) / self.dim
         field = (True, field_phase, -1j * p.t1 * x_sum, TARGET_HX)
-        ising = (False, np.exp(-1j * p.t2 * zz_weighted), -1j * p.t2 * zz_plain, TARGET_J)
+        ising = (False, self.ising_phase, -1j * p.t2 * zz_plain, TARGET_J)
         self._steps = (field, ising) if p.step_order == FIELD_THEN_ISING else (ising, field)
         # complex like the states: no cast per product, and one BLAS kernel
         self._w_hi = _hadamard(n // 2).astype(np.complex128)

@@ -8,8 +8,11 @@ periods, which is the mechanism behind period doubling.
 
 The eigensystem is solved one sector of the global flip P = prod_i sigma_x^i
 at a time. P commutes with both drive steps, so U_F is exactly block
-diagonal in the P = +1 and P = -1 eigenbases, and the two half-size
-eigenproblems give the full spectrum and eigenbasis. In the
+diagonal in the P = +1 and P = -1 eigenbases. Moving half of the Ising
+step to the other end of the period turns U_F into a complex symmetric
+unitary S (the drive is time-reversal invariant; Haake, Quantum
+Signatures of Chaos, ch. 4), whose eigenvectors can be chosen real, so
+each half-size parity block is solved by one real symmetric eigh. In the
 period-doubled phase a pi-pair joins states of opposite parity (Khemani
 et al., PRL 116, 250401 (2016); Else, Bauer & Nayak, PRL 117, 090402
 (2016)).
@@ -22,11 +25,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalError
-from .model import FloquetOperator, ModelSpec, as_operator
+from .model import ISING_THEN_FIELD, FloquetOperator, ModelSpec, as_operator
 
 UNIT_MODULUS_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 DEGENERACY_CLUSTER_TOL = 1e-9
+# eigh eigenvalues closer than this are re-solved together: beyond it the
+# eigh vectors err by about eps * ||mixed|| / gap ~ 2e-10, so their residual
+# stays far below RESIDUAL_TOL
+SPLIT_TOL = 1e-6
+# angle a of the real combination cos(a) Re S + sin(a) Im S; it maps
+# exp(i theta) to cos(theta - a), which merges two distinct eigenvalues only
+# where their phases sum to 2a (mod 2 pi), and 2a = 2 is no rational
+# multiple of pi
+MIX_ANGLE = 1.0
 
 
 def default_pair_tolerance(period: float = 1.0) -> float:
@@ -41,7 +53,9 @@ class QuasienergyAnalysis:
 
     eigenvectors holds one normalized eigenvector per column, matching
     epsilons. pairs is a matching (each index used at most once); gaps
-    holds the circle distance of each pair.
+    holds the circle distance of each pair. modulus_error and residual are
+    the solver's health checks: the largest ||lambda| - 1| and the largest
+    eigen-residual norm against the dense propagator.
     """
 
     epsilons: np.ndarray
@@ -51,6 +65,8 @@ class QuasienergyAnalysis:
     pairs: list[tuple[int, int]] = field(default_factory=list)
     gaps: np.ndarray = field(default_factory=lambda: np.empty(0))
     tolerance: float | None = None
+    modulus_error: float | None = None
+    residual: float | None = None
 
     @property
     def dim(self) -> int:
@@ -79,28 +95,63 @@ def _cluster_indices(eigenvalues: np.ndarray) -> list[list[int]]:
     return clusters
 
 
-def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalysis:
-    """Diagonalize the dense propagator one parity sector at a time (pairs left empty).
+def _symmetric_unitary_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a complex symmetric unitary matrix from one real eigh.
 
-    U_F commutes with the global flip P = prod_i sigma_x^i: the field step is
-    built from sigma_x alone, and every sigma_z^i sigma_z^j bond term is
-    invariant under flipping all spins. P sends basis index s to dim-1-s,
-    so with h = dim/2 the propagator has the block form
+    Such a matrix is X + iY with X, Y real symmetric, and unitarity gives
+    XY = YX, so one real orthonormal basis diagonalizes both. It comes
+    from eigh of cos(a) X + sin(a) Y, whose eigenvalue for lambda is
+    Re(exp(-ia) lambda); the eigenvalues are the Rayleigh quotients
+    q^T block q. Two distinct unit-circle eigenvalues can share that real
+    value, so each run of eigh eigenvalues closer than SPLIT_TOL is
+    re-solved with a small eig of the block projected onto the run.
+    """
+    mixed = np.cos(MIX_ANGLE) * block.real + np.sin(MIX_ANGLE) * block.imag
+    combined, q = np.linalg.eigh(mixed)
+    eigenvalues = np.einsum("ij,ij->j", q, block @ q)
+    vectors = q.astype(np.complex128)
+    starts = np.flatnonzero(np.diff(combined) >= SPLIT_TOL) + 1
+    for run in np.split(np.arange(len(combined)), starts):
+        if len(run) > 1:
+            basis = q[:, run]
+            eigenvalues[run], rotation = np.linalg.eig(basis.T @ block @ basis)
+            vectors[:, run] = basis @ rotation
+    return eigenvalues, vectors
+
+
+def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalysis:
+    """Diagonalize the dense propagator as two real symmetric eigenproblems (pairs left empty).
+
+    With D the principal square root of the diagonal Ising phase,
+    S = D^-1 U_F D (field_then_ising) or D U_F D^-1 (ising_then_field)
+    equals D F D, where F is the field step, the exponential of the real
+    symmetric sum_i sigma_x^i; so S is complex symmetric and unitary.
+
+    U_F and S commute with the global flip P = prod_i sigma_x^i: the field
+    step is built from sigma_x alone, and every sigma_z^i sigma_z^j bond
+    term is invariant under flipping all spins. P sends basis index s to
+    dim-1-s, so with h = dim/2 the propagator has the block form
     [[A, C], [R C R, R A R]] (R reverses h entries), and B = C R gives the
-    exact sector blocks A + B (P = +1) and A - B (P = -1). An eigenvector v
-    of either block lifts to the eigenvector [v; +-R v] / sqrt(2) of U_F,
-    so two half-size eigenproblems replace one of full size.
+    exact sector blocks A + B (P = +1) and A - B (P = -1). D is P-invariant,
+    so the sector blocks of S are those of U_F scaled by the first half of
+    D, each solved by _symmetric_unitary_eig. An eigenvector v of a block
+    lifts to the eigenvector [v; +-R v] / sqrt(2) of S, and scaling its
+    rows by D (or D^-1) gives that of U_F.
 
     Eigenvectors inside a degenerate eigenvalue cluster are re-orthonormalized:
-    a general complex eigensolver does not guarantee orthogonality under
-    degeneracy, and the h_x = J = 0 identity point is fully degenerate. The
-    eigen-residual is taken against the full dense U_F, so any error in the
-    block map fails the residual check.
+    the small eig on a degenerate run does not guarantee orthogonality, and
+    the h_x = J = 0 identity point is fully degenerate. The eigen-residual is
+    taken against the full dense U_F, so any error in D or in the block map
+    fails the residual check.
     """
     op = as_operator(model)
     period = op.spec.protocol.period
     matrix = op.dense()
     half = op.dim // 2
+    # S = scale^-1 U_F scale; |scale| = 1, so scale^-1 = conj(scale)
+    scale = np.sqrt(op.ising_phase)
+    if op.spec.protocol.step_order == ISING_THEN_FIELD:
+        scale = scale.conj()
     upper_left = matrix[:half, :half]
     upper_right = matrix[:half, half:][:, ::-1]
     # sector eigenvectors are lifted into one preallocated array (the
@@ -109,10 +160,14 @@ def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalys
     eigenvalues = np.empty(op.dim, dtype=np.complex128)
     eigenvectors = np.empty((op.dim, op.dim), dtype=np.complex128)
     for sign, sector in ((1.0, slice(None, half)), (-1.0, slice(half, None))):
-        eigenvalues[sector], vectors = np.linalg.eig(upper_left + sign * upper_right)
+        block = upper_left + sign * upper_right
+        block *= scale[:half].conj()[:, np.newaxis]
+        block *= scale[:half]
+        eigenvalues[sector], vectors = _symmetric_unitary_eig(block)
         eigenvectors[:half, sector] = vectors
         eigenvectors[half:, sector] = sign * vectors[::-1]
-    del vectors
+    del block, vectors
+    eigenvectors *= scale[:, np.newaxis]
 
     modulus_error = float(np.max(np.abs(np.abs(eigenvalues) - 1.0)))
     if modulus_error > UNIT_MODULUS_TOL:
@@ -146,7 +201,8 @@ def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalys
         )
 
     return QuasienergyAnalysis(
-        epsilons=epsilons, eigenvectors=eigenvectors, period=period, spec=op.spec
+        epsilons=epsilons, eigenvectors=eigenvectors, period=period, spec=op.spec,
+        modulus_error=modulus_error, residual=residual,
     )
 
 

@@ -10,6 +10,7 @@ from floquet_ising.config import ConfigError, RunConfig
 from floquet_ising.dynamics import magnetization_series
 from floquet_ising.metrology import qfi_series
 from floquet_ising.model import ModelSpec
+from floquet_ising.quasienergy import RESIDUAL_TOL, UNIT_MODULUS_TOL
 from floquet_ising.spectral import subharmonic_weight
 
 
@@ -116,6 +117,9 @@ class TestCommands:
         assert sidecar["summary"]["n_pairs"] == len(pairs)
         summary = read_csv(out / "summary.csv")[0]
         assert float(summary["f_pi"]) == sidecar["summary"]["f_pi"]
+        health = sidecar["summary"]["health"]
+        assert 0.0 <= health["modulus_error"] <= UNIT_MODULUS_TOL
+        assert 0.0 <= health["residual"] <= RESIDUAL_TOL
 
     def test_qfi_matches_library(self, tmp_path):
         out = tmp_path / "qfi"

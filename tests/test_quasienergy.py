@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from floquet_ising import states
 from floquet_ising.errors import NumericalError
-from floquet_ising.model import CHAIN, FloquetOperator, ModelSpec
+from floquet_ising.model import CHAIN, ISING_THEN_FIELD, RING, STEP_ORDERS, FloquetOperator, ModelSpec
 from floquet_ising.quasienergy import (
     QuasienergyAnalysis,
     _cluster_indices,
@@ -82,25 +84,69 @@ class TestParityBlocks:
         + [(0.0, j) for j in LINE]
         + [(h, 0.0) for h in LINE]
     )
+    # (h_x T, J T) with per-bond couplings J_b T = J T (1 + 0.25 b)
+    PER_BOND_POINTS = [(2.6, 1.57), (1.1, 2.3), (0.0, 1.1)]
 
-    @pytest.mark.parametrize("n", range(3, 8))
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_matches_full_eig_oracle(self, n):
         psi0 = states.all_zero_state(n)
-        for h, j in self.POINTS:
-            spec = ModelSpec.dimensionless(n, h, j)
-            blocks = detect_pi_pairs(floquet_eigensystem(spec))
-            oracle = detect_pi_pairs(full_eig_eigensystem(spec))
-            assert np.abs(
-                sorted_from_cut(blocks.epsilons, oracle.epsilons)
-                - sorted_from_cut(oracle.epsilons, oracle.epsilons)
-            ).max() <= 1e-12
-            assert abs(blocks.pair_fraction - oracle.pair_fraction) <= 1e-10
-            eigenvalues = np.exp(-1j * blocks.epsilons)
-            assert np.abs(
-                eigenspace_weights(blocks, eigenvalues, psi0)
-                - eigenspace_weights(oracle, eigenvalues, psi0)
-            ).max() <= 1e-10
-            assert abs(overlap_weight(blocks, psi0) - overlap_weight(oracle, psi0)) <= 1e-10
+        for boundary, step_order in itertools.product((RING, CHAIN), STEP_ORDERS):
+            n_bonds = len(ModelSpec.dimensionless(n, 0.0, 0.0, boundary=boundary).bonds())
+            specs = [
+                ModelSpec.dimensionless(n, h, j, boundary=boundary, step_order=step_order)
+                for h, j in self.POINTS
+            ] + [
+                ModelSpec.dimensionless(
+                    n, h, [j * (1 + 0.25 * b) for b in range(n_bonds)],
+                    boundary=boundary, step_order=step_order,
+                )
+                for h, j in self.PER_BOND_POINTS
+            ]
+            for spec in specs:
+                blocks = detect_pi_pairs(floquet_eigensystem(spec))
+                oracle = detect_pi_pairs(full_eig_eigensystem(spec))
+                assert np.abs(
+                    sorted_from_cut(blocks.epsilons, oracle.epsilons)
+                    - sorted_from_cut(oracle.epsilons, oracle.epsilons)
+                ).max() <= 1e-12
+                assert abs(blocks.pair_fraction - oracle.pair_fraction) <= 1e-10
+                eigenvalues = np.exp(-1j * blocks.epsilons)
+                assert np.abs(
+                    eigenspace_weights(blocks, eigenvalues, psi0)
+                    - eigenspace_weights(oracle, eigenvalues, psi0)
+                ).max() <= 1e-10
+                assert abs(overlap_weight(blocks, psi0) - overlap_weight(oracle, psi0)) <= 1e-10
+
+    @pytest.mark.parametrize("step_order", STEP_ORDERS)
+    def test_symmetrised_propagator_is_symmetric(self, step_order):
+        # S = D^-1 U_F D (field first) or D U_F D^-1 (Ising first), with
+        # D^2 the Ising phase, is complex symmetric
+        per_bond = [0.4, 0.9, 1.3, 2.0, 2.2, 2.9, 3.1]
+        for n, boundary, j in [(3, RING, 1.57), (6, CHAIN, 2.3), (7, RING, per_bond)]:
+            op = FloquetOperator(
+                ModelSpec.dimensionless(n, 2.6, j, boundary=boundary, step_order=step_order)
+            )
+            d = np.sqrt(op.ising_phase)
+            if step_order == ISING_THEN_FIELD:
+                d = d.conj()
+            s = d.conj()[:, np.newaxis] * op.dense() * d[np.newaxis, :]
+            assert np.abs(s - s.T).max() <= 1e-14
+
+    @pytest.mark.parametrize("h, j, resolves", [(0.0, 1.1, True), (1.1, 2.3, False), (2.6, 1.57, False)])
+    def test_close_runs_resolved_only_where_eigh_merges(self, monkeypatch, h, j, resolves):
+        # on the h_x T = 0 line the real combination of the symmetric
+        # blocks has exact multiplets; at generic points it has none
+        sizes = []
+        full_eig = np.linalg.eig
+
+        def spy(matrix):
+            sizes.append(len(matrix))
+            return full_eig(matrix)
+
+        monkeypatch.setattr(np.linalg, "eig", spy)
+        floquet_eigensystem(ModelSpec.dimensionless(7, h, j))
+        assert bool(sizes) == resolves
+        assert all(size < 64 for size in sizes)
 
     @pytest.mark.parametrize("n, h, j", [(3, 2.6, 1.57), (7, 0.8 * np.pi, 0.65 * np.pi)])
     def test_eigenvectors_have_parity_and_pairs_join_sectors(self, n, h, j):
@@ -164,6 +210,28 @@ class TestPiPairs:
             )
             indices = [k for pair in analysis.pairs for k in pair]
             assert len(indices) == len(set(indices))
+
+    @pytest.mark.parametrize(
+        "n, h, j",
+        [(3, 2.6, 1.57), (5, 2.6, 1.57), (5, 1.9, 2.8), (7, 0.8 * np.pi, 0.65 * np.pi), (8, 2.9, 0.9)],
+    )
+    def test_greedy_count_is_maximum_parity_matching(self, n, h, j):
+        # period-doubled points, where every pi-pair joins opposite parity;
+        # elsewhere the greedy count can differ from this matching (it also
+        # pairs states of equal parity), so this is no identity of the method
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+
+        analysis = detect_pi_pairs(floquet_eigensystem(ModelSpec.dimensionless(n, h, j)))
+        v = analysis.eigenvectors
+        sign = np.sign(np.sum(v[::-1].conj() * v, axis=0).real)
+        assert np.abs(v[::-1] - sign[np.newaxis, :] * v).max() <= 1e-12
+        plus, minus = analysis.epsilons[sign > 0], analysis.epsilons[sign < 0]
+        diff = (plus[:, np.newaxis] - minus[np.newaxis, :]) % (2 * np.pi)
+        gap = np.minimum(diff, 2 * np.pi - diff)
+        candidates = csr_matrix((np.abs(gap - np.pi) <= analysis.tolerance).astype(np.int8))
+        matched = maximum_bipartite_matching(candidates, perm_type="column")
+        assert np.count_nonzero(matched >= 0) == len(analysis.pairs)
 
     def test_tolerance_validation(self, pd_spec):
         analysis = floquet_eigensystem(pd_spec)
