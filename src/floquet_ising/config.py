@@ -98,6 +98,13 @@ class RunConfig:
             raise ConfigError(f"model.step_order must be one of {STEP_ORDERS}")
         if self.output.format not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, got {self.output.format!r}")
+        if self.analysis.pair_tolerance < 0:
+            raise ConfigError(
+                f"analysis.pair_tolerance must be positive, or 0 for the default, "
+                f"got {self.analysis.pair_tolerance}"
+            )
+        if self.sweep.workers < 1:
+            raise ConfigError(f"sweep.workers must be at least 1, got {self.sweep.workers}")
         return self
 
     def set(self, section: str, key: str, value) -> None:

@@ -199,8 +199,10 @@ class FloquetOperator:
         field = (True, field_phase, -1j * p.t1 * x_sum, TARGET_HX)
         ising = (False, self.ising_phase, -1j * p.t2 * zz_plain, TARGET_J)
         self._steps = (field, ising) if p.step_order == FIELD_THEN_ISING else (ising, field)
-        # complex like the states: no cast per product, and one BLAS kernel
-        self._w_hi = _hadamard(n // 2).astype(np.complex128)
+        # W_hi acts from the left, on the float view of the states, at half
+        # the flops of a complex product; W_lo mixes the interleaved real
+        # and imaginary parts, so it is complex like the states
+        self._w_hi = _hadamard(n // 2)
         self._w_lo = _hadamard(n - n // 2).astype(np.complex128)
 
     def _require_dim(self, psi: np.ndarray) -> None:
@@ -214,8 +216,10 @@ class FloquetOperator:
         W = W_hi (x) W_lo acts as W_hi @ grid @ W_lo.
         """
         rows = len(block)
-        grid = block.reshape(rows, len(self._w_hi), len(self._w_lo))
-        return (self._w_hi @ grid @ self._w_lo).reshape(rows, self.dim)
+        # the float view needs C order, which _period guarantees
+        grid = block.view(np.float64).reshape(rows, len(self._w_hi), 2 * len(self._w_lo))
+        left = (self._w_hi @ grid).view(np.complex128)
+        return (left.reshape(-1, len(self._w_lo)) @ self._w_lo).reshape(rows, self.dim)
 
     def _period(self, block: np.ndarray, target: str | None = None) -> np.ndarray:
         """One period on every row of a (k, dim) block.
@@ -224,7 +228,7 @@ class FloquetOperator:
         of that step applied to row 0, so rows (psi, dpsi) come back as
         (U psi, U dpsi + dU psi).
         """
-        block = np.array(block, dtype=np.complex128)
+        block = np.array(block, dtype=np.complex128, order="C")
         for in_hadamard, phase, generator, step_target in self._steps:
             if in_hadamard:
                 block = self._transform(block)
@@ -258,7 +262,11 @@ class FloquetOperator:
         return block[0], block[1]
 
     def dense(self) -> np.ndarray:
-        """The full 2^N x 2^N unitary, column k = U_F |k>, from one period on every basis row."""
+        """The full 2^N x 2^N unitary, column k = U_F |k>, from one period on every basis row.
+
+        The package itself never calls this (the eigensystem is built from
+        closed-form parity blocks); it is the tests' reference propagator.
+        """
         return self._period(np.eye(self.dim)).T
 
 

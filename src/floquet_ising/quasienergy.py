@@ -7,15 +7,18 @@ circle; a superposition of such a pair returns to itself only after two
 periods, which is the mechanism behind period doubling.
 
 The eigensystem is solved one sector of the global flip P = prod_i sigma_x^i
-at a time. P commutes with both drive steps, so U_F is exactly block
-diagonal in the P = +1 and P = -1 eigenbases. Moving half of the Ising
-step to the other end of the period turns U_F into a complex symmetric
-unitary S (the drive is time-reversal invariant; Haake, Quantum
-Signatures of Chaos, ch. 4), whose eigenvectors can be chosen real, so
-each half-size parity block is solved by one real symmetric eigh. In the
-period-doubled phase a pi-pair joins states of opposite parity (Khemani
-et al., PRL 116, 250401 (2016); Else, Bauer & Nayak, PRL 117, 090402
-(2016)).
+at a time, with no dense propagator. P commutes with both drive steps, so
+U_F is exactly block diagonal in the P = +1 and P = -1 eigenbases. Moving
+half of the Ising step to the other end of the period turns U_F into a
+complex symmetric unitary S = D F D (the drive is time-reversal invariant;
+Haake, Quantum Signatures of Chaos, ch. 4): D is diagonal and the field
+step F has a closed form in the Hamming distance of two basis states, so
+both half-size sector blocks of S are written down directly, and each is
+solved by one real symmetric eigh. The eigen-residual is then taken against
+the full U_F by running one period of the operator's step table on the
+eigenvectors, a construction independent of the closed-form blocks. In the
+period-doubled phase a pi-pair joins states of opposite parity (Khemani et
+al., PRL 116, 250401 (2016); Else, Bauer & Nayak, PRL 117, 090402 (2016)).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import states
 from .errors import NumericalError
 from .model import ISING_THEN_FIELD, FloquetOperator, ModelSpec, as_operator
 
@@ -39,6 +43,10 @@ SPLIT_TOL = 1e-6
 # where their phases sum to 2a (mod 2 pi), and 2a = 2 is no rational
 # multiple of pi
 MIX_ANGLE = 1.0
+# widening of the pi-pair search window, as a fraction of the zone 2 pi / T;
+# it only has to exceed the rounding of the window arithmetic, since every
+# candidate inside is tested with the exact gap expression
+PAIR_WINDOW_SLACK = 1e-9
 
 
 def default_pair_tolerance(period: float = 1.0) -> float:
@@ -55,7 +63,7 @@ class QuasienergyAnalysis:
     epsilons. pairs is a matching (each index used at most once); gaps
     holds the circle distance of each pair. modulus_error and residual are
     the solver's health checks: the largest ||lambda| - 1| and the largest
-    eigen-residual norm against the dense propagator.
+    eigen-residual norm against the full propagator.
     """
 
     epsilons: np.ndarray
@@ -77,22 +85,47 @@ class QuasienergyAnalysis:
         return 2.0 * len(self.pairs) / self.dim
 
 
-def _cluster_indices(eigenvalues: np.ndarray) -> list[list[int]]:
-    """Group (sorted-by-angle) indices whose eigenvalues nearly coincide.
+def _cluster_labels(eigenvalues: np.ndarray) -> np.ndarray:
+    """Cluster number of each (sorted-by-angle) eigenvalue.
 
-    The eigenvalues live on the unit circle, so the first and last groups
-    may wrap around through angle +-pi and must then be merged.
+    Neighbours closer than DEGENERACY_CLUSTER_TOL share a cluster. The
+    eigenvalues live on the unit circle, so the last cluster may wrap
+    around through angle +-pi into the first and is then merged with it.
     """
-    n = len(eigenvalues)
-    clusters: list[list[int]] = [[0]]
-    for k in range(1, n):
-        if abs(eigenvalues[k] - eigenvalues[k - 1]) < DEGENERACY_CLUSTER_TOL:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
-    if len(clusters) > 1 and abs(eigenvalues[0] - eigenvalues[-1]) < DEGENERACY_CLUSTER_TOL:
-        clusters[0] = clusters.pop() + clusters[0]
-    return clusters
+    breaks = ~(np.abs(np.diff(eigenvalues)) < DEGENERACY_CLUSTER_TOL)
+    labels = np.concatenate(([0], np.cumsum(breaks)))
+    if labels[-1] > 0 and abs(eigenvalues[0] - eigenvalues[-1]) < DEGENERACY_CLUSTER_TOL:
+        labels[labels == labels[-1]] = 0
+    return labels
+
+
+def _column_norms(columns: np.ndarray) -> np.ndarray:
+    """2-norm of every column, without the conjugate copy np.linalg.norm makes."""
+    real, imag = columns.real, columns.imag
+    return np.sqrt(np.einsum("ij,ij->j", real, real) + np.einsum("ij,ij->j", imag, imag))
+
+
+def _sector_blocks(op: FloquetOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The P = +1 and P = -1 blocks of S = D F D in closed form.
+
+    The field step is the N-fold Kronecker power of
+    [[cos t, -i sin t], [-i sin t, cos t]], t = h_x T1, so
+    F[a, b] = g[w] = cos(t)^(N - w) (-i sin t)^w with w = popcount(a XOR b).
+    P sends b to dim-1-b, which flips every bit, so for a, b < dim/2 the
+    partner entry F[a, dim-1-b] is g[N - w], and D is P-invariant; the
+    sector blocks are therefore D_a D_b (g[w] +- g[N - w]).
+    """
+    n = op.spec.n_qubits
+    half = op.dim // 2
+    angle = op.spec.h_x * op.spec.protocol.t1
+    flips = np.arange(n + 1)
+    # real powers keep 0**0 = 1 where cos or sin vanishes; (-i)^w by table
+    g = np.cos(angle) ** (n - flips) * np.sin(angle) ** flips * np.array([1, -1j, -1, 1j])[flips % 4]
+    index = np.arange(half)
+    distance = states.popcounts(n)[:half][index[:, np.newaxis] ^ index[np.newaxis, :]]
+    d = np.sqrt(op.ising_phase[:half])
+    outer = d[:, np.newaxis] * d[np.newaxis, :]
+    return (g + g[::-1])[distance] * outer, (g - g[::-1])[distance] * outer
 
 
 def _symmetric_unitary_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,13 +135,13 @@ def _symmetric_unitary_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     XY = YX, so one real orthonormal basis diagonalizes both. It comes
     from eigh of cos(a) X + sin(a) Y, whose eigenvalue for lambda is
     Re(exp(-ia) lambda); the eigenvalues are the Rayleigh quotients
-    q^T block q. Two distinct unit-circle eigenvalues can share that real
-    value, so each run of eigh eigenvalues closer than SPLIT_TOL is
-    re-solved with a small eig of the block projected onto the run.
+    q^T X q + i q^T Y q. Two distinct unit-circle eigenvalues can share
+    that real value, so each run of eigh eigenvalues closer than SPLIT_TOL
+    is re-solved with a small eig of the block projected onto the run.
     """
-    mixed = np.cos(MIX_ANGLE) * block.real + np.sin(MIX_ANGLE) * block.imag
-    combined, q = np.linalg.eigh(mixed)
-    eigenvalues = np.einsum("ij,ij->j", q, block @ q)
+    real, imag = block.real, block.imag
+    combined, q = np.linalg.eigh(np.cos(MIX_ANGLE) * real + np.sin(MIX_ANGLE) * imag)
+    eigenvalues = np.einsum("ij,ij->j", q, real @ q) + 1j * np.einsum("ij,ij->j", q, imag @ q)
     vectors = q.astype(np.complex128)
     starts = np.flatnonzero(np.diff(combined) >= SPLIT_TOL) + 1
     for run in np.split(np.arange(len(combined)), starts):
@@ -120,7 +153,7 @@ def _symmetric_unitary_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalysis:
-    """Diagonalize the dense propagator as two real symmetric eigenproblems (pairs left empty).
+    """Diagonalize U_F as two closed-form real symmetric eigenproblems (pairs left empty).
 
     With D the principal square root of the diagonal Ising phase,
     S = D^-1 U_F D (field_then_ising) or D U_F D^-1 (ising_then_field)
@@ -130,44 +163,34 @@ def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalys
     U_F and S commute with the global flip P = prod_i sigma_x^i: the field
     step is built from sigma_x alone, and every sigma_z^i sigma_z^j bond
     term is invariant under flipping all spins. P sends basis index s to
-    dim-1-s, so with h = dim/2 the propagator has the block form
-    [[A, C], [R C R, R A R]] (R reverses h entries), and B = C R gives the
-    exact sector blocks A + B (P = +1) and A - B (P = -1). D is P-invariant,
-    so the sector blocks of S are those of U_F scaled by the first half of
-    D, each solved by _symmetric_unitary_eig. An eigenvector v of a block
-    lifts to the eigenvector [v; +-R v] / sqrt(2) of S, and scaling its
-    rows by D (or D^-1) gives that of U_F.
+    dim-1-s, so the exact P = +1 and P = -1 blocks of S are half-size, and
+    _sector_blocks writes them down from the Hamming distances of the
+    first half of the basis. Each is solved by _symmetric_unitary_eig.
+    The eigenvalues are sorted before lifting: an eigenvector v of a block
+    goes straight to its sorted column as [v; +-R v] / sqrt(2) (R reverses
+    dim/2 entries), an eigenvector of S, with its rows scaled by D (or
+    D^-1) to give that of U_F.
 
     Eigenvectors inside a degenerate eigenvalue cluster are re-orthonormalized:
     the small eig on a degenerate run does not guarantee orthogonality, and
     the h_x = J = 0 identity point is fully degenerate. The eigen-residual is
-    taken against the full dense U_F, so any error in D or in the block map
-    fails the residual check.
+    taken against the full U_F, by one period of the operator's step table
+    on half of the eigenvectors at a time, so any error in D, in the block
+    map or in a sign fails the residual check.
     """
     op = as_operator(model)
     period = op.spec.protocol.period
-    matrix = op.dense()
     half = op.dim // 2
-    # S = scale^-1 U_F scale; |scale| = 1, so scale^-1 = conj(scale)
-    scale = np.sqrt(op.ising_phase)
+    halves = (slice(None, half), slice(half, None))
+    # U_F = scale S scale^-1, so scale times an eigenvector of S is one of U_F
+    scale = np.sqrt(op.ising_phase[:half])
     if op.spec.protocol.step_order == ISING_THEN_FIELD:
         scale = scale.conj()
-    upper_left = matrix[:half, :half]
-    upper_right = matrix[:half, half:][:, ::-1]
-    # sector eigenvectors are lifted into one preallocated array (the
-    # normalization below supplies the 1/sqrt(2)); the block vectors are
-    # dropped before the residual, which is the peak of this function
     eigenvalues = np.empty(op.dim, dtype=np.complex128)
-    eigenvectors = np.empty((op.dim, op.dim), dtype=np.complex128)
-    for sign, sector in ((1.0, slice(None, half)), (-1.0, slice(half, None))):
-        block = upper_left + sign * upper_right
-        block *= scale[:half].conj()[:, np.newaxis]
-        block *= scale[:half]
+    sector_vectors = []
+    for sector, block in zip(halves, _sector_blocks(op)):
         eigenvalues[sector], vectors = _symmetric_unitary_eig(block)
-        eigenvectors[:half, sector] = vectors
-        eigenvectors[half:, sector] = sign * vectors[::-1]
-    del block, vectors
-    eigenvectors *= scale[:, np.newaxis]
+        sector_vectors.append(vectors)
 
     modulus_error = float(np.max(np.abs(np.abs(eigenvalues) - 1.0)))
     if modulus_error > UNIT_MODULUS_TOL:
@@ -183,17 +206,30 @@ def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalys
     order = np.argsort(epsilons, kind="stable")
     eigenvalues = eigenvalues[order]
     epsilons = epsilons[order]
-    eigenvectors = eigenvectors[:, order]
+    column = np.empty(op.dim, dtype=np.intp)
+    column[order] = np.arange(op.dim)
+    # the normalization below supplies the 1/sqrt(2) of the lift; column
+    # major, so every lifted column is one contiguous write
+    eigenvectors = np.empty((op.dim, op.dim), dtype=np.complex128, order="F")
+    for sign, sector, vectors in zip((1.0, -1.0), halves, sector_vectors):
+        vectors *= scale[:, np.newaxis]
+        eigenvectors[:half, column[sector]] = vectors
+        eigenvectors[half:, column[sector]] = sign * vectors[::-1]
+    del sector_vectors, vectors
 
-    for cluster in _cluster_indices(eigenvalues):
-        if len(cluster) > 1:
-            q, _ = np.linalg.qr(eigenvectors[:, cluster])
-            eigenvectors[:, cluster] = q
-    eigenvectors /= np.linalg.norm(eigenvectors, axis=0, keepdims=True)
+    labels = _cluster_labels(eigenvalues)
+    for label in np.flatnonzero(np.bincount(labels) > 1):
+        cluster = np.flatnonzero(labels == label)
+        eigenvectors[:, cluster] = np.linalg.qr(eigenvectors[:, cluster])[0]
+    eigenvectors *= 1.0 / _column_norms(eigenvectors)
 
-    residuals = matrix @ eigenvectors
-    residuals -= eigenvectors * eigenvalues[np.newaxis, :]
-    residual = float(np.max(np.linalg.norm(residuals, axis=0)))
+    # two passes of dim/2 rows keep the period's work arrays small
+    residual = 0.0
+    for columns in halves:
+        rows = eigenvectors[:, columns].T
+        residuals = op._period(rows)
+        residuals -= rows * eigenvalues[columns, np.newaxis]
+        residual = max(residual, float(np.max(_column_norms(residuals.T))))
     if residual > RESIDUAL_TOL:
         raise NumericalError(
             f"eigen-residual {residual:.3e} exceeds {RESIDUAL_TOL} "
@@ -220,6 +256,10 @@ def detect_pi_pairs(
 
     Candidates are sorted by |gap - pi/T| (ties by lower indices) and each
     state is used at most once, so the pair list is a deterministic matching.
+    A pair is a candidate only if its circle distance is at least
+    pi/T - tolerance, so each state's partners lie on the arc opposite it:
+    on the sorted circle they are one searchsorted window per state, and
+    only those pairs are tested.
     """
     period = analysis.period
     if tolerance is None:
@@ -229,21 +269,37 @@ def detect_pi_pairs(
     target = np.pi / period
 
     eps = analysis.epsilons
+    n = len(eps)
     zone = 2.0 * np.pi / period
-    diff = (eps[:, None] - eps[None, :]) % zone
+    folded = eps % zone
+    order = np.argsort(folded, kind="stable")
+    circle = np.concatenate((folded[order], folded[order] + zone))
+    # on the circle unrolled twice, the window of a state at x is
+    # [x + reach, x + zone - reach): every other state at most once
+    reach = max(target - tolerance - PAIR_WINDOW_SLACK * zone, 0.0)
+    start = np.searchsorted(circle, circle[:n] + reach)
+    counts = np.searchsorted(circle, circle[:n] + (zone - reach)) - start
+    first = np.repeat(np.arange(n), counts)
+    second = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    ii, jj = order[first], order[second % n]
+    canonical = ii < jj
+    ii, jj = ii[canonical], jj[canonical]
+
+    diff = (eps[ii] - eps[jj]) % zone
     gap = np.minimum(diff, zone - diff)
     error = np.abs(gap - target)
+    keep = error <= tolerance
+    ii, jj, gap, error = ii[keep], jj[keep], gap[keep], error[keep]
+    ranked = np.lexsort((jj, ii, error))
 
-    ii, jj = np.nonzero(np.triu(error <= tolerance, k=1))
-    candidates = sorted(zip(error[ii, jj], ii, jj))
-    used = np.zeros(analysis.dim, dtype=bool)
+    used = [False] * n
     pairs: list[tuple[int, int]] = []
     pair_gaps: list[float] = []
-    for err, i, j in candidates:
+    for i, j, g in zip(ii[ranked].tolist(), jj[ranked].tolist(), gap[ranked].tolist()):
         if not used[i] and not used[j]:
             used[i] = used[j] = True
-            pairs.append((int(i), int(j)))
-            pair_gaps.append(float(gap[i, j]))
+            pairs.append((i, j))
+            pair_gaps.append(g)
     return replace(
         analysis, pairs=pairs, gaps=np.asarray(pair_gaps), tolerance=float(tolerance)
     )
@@ -261,23 +317,20 @@ def overlap_weight(analysis: QuasienergyAnalysis, psi0: np.ndarray) -> float:
     """
     if len(psi0) != analysis.dim:
         raise ValueError(f"dimension mismatch: state has {len(psi0)}, eigenbasis has {analysis.dim}")
-    amplitudes = analysis.eigenvectors.conj().T @ np.asarray(psi0, dtype=np.complex128)
-    weights = np.abs(amplitudes) ** 2
+    # |<phi|psi0>|^2 = |<psi0|phi>|^2, so no conjugate copy of the eigenvectors
+    weights = np.abs(np.asarray(psi0, dtype=np.complex128).conj() @ analysis.eigenvectors) ** 2
     denominator = float(weights.sum())
     if abs(denominator - 1.0) > 1e-6:
         raise NumericalError(
             f"eigenbasis overlap weights sum to {denominator!r}, expected 1 "
             "(non-orthonormal eigenbasis?)"
         )
-    paired = np.zeros(analysis.dim, dtype=bool)
-    paired[[k for pair in analysis.pairs for k in pair]] = True
+    paired = np.zeros(analysis.dim)
+    paired[np.asarray(analysis.pairs, dtype=np.intp).reshape(-1)] = 1.0
     order = np.argsort(analysis.epsilons, kind="stable")
-    eigenvalues = np.exp(-1j * analysis.epsilons[order] * analysis.period)
-    weight = 0.0
-    for cluster in _cluster_indices(eigenvalues):
-        members = order[cluster]
-        weight += weights[members].sum() * paired[members].mean()
-    return float(weight / denominator)
+    labels = _cluster_labels(np.exp(-1j * analysis.epsilons[order] * analysis.period))
+    share = np.bincount(labels, paired[order]) / np.bincount(labels)
+    return float(np.bincount(labels, weights[order]) @ share / denominator)
 
 
 def analyze(

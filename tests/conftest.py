@@ -6,7 +6,11 @@ import pytest
 from floquet_ising import ModelSpec, states
 from floquet_ising.metrology import VARIANCE_CUTOFF, _shifted_spec
 from floquet_ising.model import FIELD_THEN_ISING, FloquetOperator
-from floquet_ising.quasienergy import QuasienergyAnalysis, _cluster_indices
+from floquet_ising.quasienergy import (
+    DEGENERACY_CLUSTER_TOL,
+    QuasienergyAnalysis,
+    default_pair_tolerance,
+)
 
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
@@ -82,10 +86,65 @@ def full_eig_eigensystem(spec: ModelSpec) -> QuasienergyAnalysis:
     epsilons[epsilons <= -np.pi / period] += 2.0 * np.pi / period
     order = np.argsort(epsilons, kind="stable")
     eigenvalues, epsilons, eigenvectors = eigenvalues[order], epsilons[order], eigenvectors[:, order]
-    for cluster in _cluster_indices(eigenvalues):
+    for cluster in cluster_indices_loop(eigenvalues):
         if len(cluster) > 1:
             eigenvectors[:, cluster] = np.linalg.qr(eigenvectors[:, cluster])[0]
     eigenvectors /= np.linalg.norm(eigenvectors, axis=0, keepdims=True)
     return QuasienergyAnalysis(
         epsilons=epsilons, eigenvectors=eigenvectors, period=period, spec=spec
     )
+
+
+def cluster_indices_loop(eigenvalues: np.ndarray) -> list[list[int]]:
+    """Reference clustering, one element at a time: (sorted-by-angle)
+    neighbours closer than DEGENERACY_CLUSTER_TOL share a cluster, and a
+    last cluster that wraps through angle +-pi joins the first."""
+    clusters: list[list[int]] = [[0]]
+    for k in range(1, len(eigenvalues)):
+        if abs(eigenvalues[k] - eigenvalues[k - 1]) < DEGENERACY_CLUSTER_TOL:
+            clusters[-1].append(k)
+        else:
+            clusters.append([k])
+    if len(clusters) > 1 and abs(eigenvalues[0] - eigenvalues[-1]) < DEGENERACY_CLUSTER_TOL:
+        clusters[0] = clusters.pop() + clusters[0]
+    return clusters
+
+
+def detect_pi_pairs_dense(analysis: QuasienergyAnalysis, tolerance: float | None = None):
+    """Reference greedy pi-pair matching over the full n x n table of gaps:
+    candidates (error, i, j) with i < j and error = |gap - pi/T| <= tolerance,
+    taken in sorted order, each state used at most once. Returns
+    (pairs, gaps, tolerance)."""
+    period = analysis.period
+    if tolerance is None:
+        tolerance = default_pair_tolerance(period)
+    target = np.pi / period
+    eps = analysis.epsilons
+    zone = 2.0 * np.pi / period
+    diff = (eps[:, None] - eps[None, :]) % zone
+    gap = np.minimum(diff, zone - diff)
+    error = np.abs(gap - target)
+    ii, jj = np.nonzero(np.triu(error <= tolerance, k=1))
+    used = np.zeros(analysis.dim, dtype=bool)
+    pairs, pair_gaps = [], []
+    for _, i, j in sorted(zip(error[ii, jj], ii, jj)):
+        if not used[i] and not used[j]:
+            used[i] = used[j] = True
+            pairs.append((int(i), int(j)))
+            pair_gaps.append(float(gap[i, j]))
+    return pairs, np.asarray(pair_gaps), float(tolerance)
+
+
+def overlap_weight_loop(analysis: QuasienergyAnalysis, psi0: np.ndarray) -> float:
+    """Reference overlap weight, one degenerate cluster at a time: each
+    cluster adds its |psi0|^2 weight times the share of its pi-paired states."""
+    weights = np.abs(analysis.eigenvectors.conj().T @ psi0) ** 2
+    paired = np.zeros(analysis.dim, dtype=bool)
+    paired[[k for pair in analysis.pairs for k in pair]] = True
+    order = np.argsort(analysis.epsilons, kind="stable")
+    eigenvalues = np.exp(-1j * analysis.epsilons[order] * analysis.period)
+    weight = 0.0
+    for cluster in cluster_indices_loop(eigenvalues):
+        members = order[cluster]
+        weight += weights[members].sum() * paired[members].mean()
+    return float(weight / weights.sum())

@@ -190,6 +190,19 @@ class TestCommands:
         assert code == 2
         assert "mystery" in capsys.readouterr().err
 
+    def test_negative_pair_tolerance_is_usage_error(self, tmp_path, capsys):
+        code = main(["quasi", "--pair-tolerance", "-1", "-o", str(tmp_path / "quasi")])
+        assert code == 2
+        assert "pair_tolerance" in capsys.readouterr().err
+        assert not (tmp_path / "quasi").exists()
+
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys):
+        code = main(["sweep", "--diag", "fpi", "--h-count", "2", "--j-count", "2",
+                     "--workers", "-4", "-o", str(tmp_path / "sweep")])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_invalid_model_is_reported(self, capsys):
         code = main(["quasi", "--n-qubits", "2", "--boundary", "ring"])
         assert code == 1

@@ -8,7 +8,7 @@ from floquet_ising.errors import NumericalError
 from floquet_ising.model import CHAIN, ISING_THEN_FIELD, RING, STEP_ORDERS, FloquetOperator, ModelSpec
 from floquet_ising.quasienergy import (
     QuasienergyAnalysis,
-    _cluster_indices,
+    _sector_blocks,
     circle_distance,
     default_pair_tolerance,
     detect_pi_pairs,
@@ -16,7 +16,7 @@ from floquet_ising.quasienergy import (
     overlap_weight,
 )
 
-from conftest import full_eig_eigensystem
+from conftest import detect_pi_pairs_dense, full_eig_eigensystem, overlap_weight_loop, random_state
 
 
 def sorted_from_cut(epsilons, reference):
@@ -116,6 +116,30 @@ class TestParityBlocks:
                     - eigenspace_weights(oracle, eigenvalues, psi0)
                 ).max() <= 1e-10
                 assert abs(overlap_weight(blocks, psi0) - overlap_weight(oracle, psi0)) <= 1e-10
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_closed_form_blocks_match_dense_slices(self, n):
+        # the sector blocks sliced from the dense U_F, A +- B with
+        # A = U[:h, :h] and B = U[:h, h:] reversed, scaled by D^-1 on the
+        # rows and D on the columns; h_x T1 = pi/2 puts cos near 0 and
+        # h_x T = 0 makes sin exactly 0, where 0**0 = 1 matters
+        boundaries = (RING, CHAIN) if n >= 3 else (CHAIN,)
+        for boundary, step_order in itertools.product(boundaries, STEP_ORDERS):
+            n_bonds = len(ModelSpec.dimensionless(n, 0.0, 0.0, boundary=boundary).bonds())
+            couplings = [1.57, 0.0, [0.3 + 0.4 * b for b in range(n_bonds)]] if n > 1 else [0.0]
+            for h, j in itertools.product((np.pi, 0.0, 2.6, 1.1), couplings):
+                op = FloquetOperator(
+                    ModelSpec.dimensionless(n, h, j, boundary=boundary, step_order=step_order)
+                )
+                half = op.dim // 2
+                scale = np.sqrt(op.ising_phase[:half])
+                if step_order == ISING_THEN_FIELD:
+                    scale = scale.conj()
+                u = op.dense()
+                for sign, block in zip((1.0, -1.0), _sector_blocks(op)):
+                    sliced = u[:half, :half] + sign * u[:half, half:][:, ::-1]
+                    sliced = scale.conj()[:, np.newaxis] * sliced * scale[np.newaxis, :]
+                    assert np.abs(block - sliced).max() <= 1e-14
 
     @pytest.mark.parametrize("step_order", STEP_ORDERS)
     def test_symmetrised_propagator_is_symmetric(self, step_order):
@@ -232,6 +256,47 @@ class TestPiPairs:
         candidates = csr_matrix((np.abs(gap - np.pi) <= analysis.tolerance).astype(np.int8))
         matched = maximum_bipartite_matching(candidates, perm_type="column")
         assert np.count_nonzero(matched >= 0) == len(analysis.pairs)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_windowed_search_matches_dense_oracle(self, n, rng):
+        # (pi, pi) puts half the spectrum on the +pi/T fold; (pi/2, pi/4)
+        # is heavily degenerate, so ties are broken by index
+        points = [(np.pi, np.pi), (2.6, 1.57), (np.pi / 2, np.pi / 4), (0.8 * np.pi, 0.65 * np.pi), (0.0, 1.1)]
+        psi_random = random_state(n, rng)
+        for (h, j), step_order, period in itertools.product(points, STEP_ORDERS, (1.0, 2.5)):
+            spec = ModelSpec.dimensionless(n, h, j, period=period, step_order=step_order)
+            eigensystem = floquet_eigensystem(spec)
+            for tolerance in (None, 0.3):
+                analysis = detect_pi_pairs(eigensystem, tolerance)
+                pairs, gaps, used = detect_pi_pairs_dense(eigensystem, tolerance)
+                assert analysis.pairs == pairs
+                assert np.array_equal(analysis.gaps, gaps)
+                assert analysis.tolerance == used
+                for psi0 in (states.all_zero_state(n), psi_random):
+                    assert abs(overlap_weight(analysis, psi0) - overlap_weight_loop(analysis, psi0)) <= 1e-14
+
+    @pytest.mark.parametrize("period", [1.0, 2.5])
+    def test_windowed_search_on_hand_built_unsorted_spectrum(self, period, rng):
+        # lattice values in (-pi/T, pi/T], unsorted, with exact pi/T gaps,
+        # repeats, the +pi/T fold and a value just inside -pi/T
+        zone = 2 * np.pi / period
+        lattice = (rng.integers(-7, 9, size=40) * zone / 16).astype(float)
+        epsilons = np.concatenate((lattice, [np.pi / period, -np.pi / period + 1e-12, 0.5 * np.pi / period]))
+        spread = rng.permutation(np.concatenate((epsilons, epsilons[:10] + 1e-3)))
+        # within 0.4 / T: only a tolerance beyond (pi - 0.4) / T pairs it
+        tight = rng.permutation(np.repeat(rng.uniform(-0.2, 0.2, size=6), 2)) / period
+        cases = [(spread, tolerance) for tolerance in (None, 0.3 / period, 1e-3 / period)]
+        # 4 / T exceeds pi / T: every pair is a candidate
+        cases += [(spread, 4.0 / period), (tight, 4.0 / period)]
+        for epsilons, tolerance in cases:
+            analysis = QuasienergyAnalysis(
+                epsilons=epsilons, eigenvectors=np.eye(len(epsilons)), period=period
+            )
+            paired = detect_pi_pairs(analysis, tolerance)
+            pairs, gaps, used = detect_pi_pairs_dense(analysis, tolerance)
+            assert pairs and paired.pairs == pairs
+            assert np.array_equal(paired.gaps, gaps)
+            assert paired.tolerance == used
 
     def test_tolerance_validation(self, pd_spec):
         analysis = floquet_eigensystem(pd_spec)
