@@ -105,6 +105,13 @@ class RunConfig:
             )
         if self.sweep.workers < 1:
             raise ConfigError(f"sweep.workers must be at least 1, got {self.sweep.workers}")
+        for section, values in self.to_dict().items():
+            for key, value in values.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{section}.{key} must be finite, got {value}")
+        per_bond = self.per_bond_couplings()
+        if per_bond is not None and not all(math.isfinite(j) for j in per_bond):
+            raise ConfigError(f"model.couplings must be finite, got {self.model.couplings!r}")
         return self
 
     def set(self, section: str, key: str, value) -> None:

@@ -2,12 +2,16 @@
 
 Trajectories record expectation values at t = nT for n = 0..n_max, with
 the state advanced by repeated application of the one-period propagator
-(never by matrix powers).
+(never by matrix powers). One loop, evolve, serves every caller: it
+advances a block of cells together, one row per cell, so a grid block
+costs one propagator call per period. The per-spec functions are its
+one-cell case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -75,30 +79,72 @@ class TimeSeries:
         return self.spec.protocol.period if self.spec is not None else 1.0
 
 
+def evolve(
+    model: ModelSpec | FloquetOperator,
+    psi0: np.ndarray,
+    n_max: int,
+    target: str | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """The evolution loop: yield (psi_n, dpsi_n) for n = 0..n_max.
+
+    Every cell of the operator starts from psi0, and psi_n holds one row
+    per cell, shape (cells, dim). With a derivative target, dpsi_n is
+    d psi_n / d theta by the product rule over periods,
+    d psi_{n+1} = U d psi_n + (dU) psi_n with d psi_0 = 0; without one it
+    is None. Each period is one propagator call on the whole block.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    op = as_operator(model)
+    op._require_dim(psi0)
+    psi = np.repeat(np.asarray(psi0, dtype=np.complex128)[np.newaxis], op.cells, axis=0)
+    dpsi = None if target is None else np.zeros_like(psi)
+    yield psi, dpsi
+    for _ in range(n_max):
+        if target is None:
+            psi = op.apply(psi)
+        else:
+            psi, dpsi = op.apply_with_derivative(target, psi, dpsi)
+        yield psi, dpsi
+
+
+def expectation_records(
+    model: ModelSpec | FloquetOperator,
+    psi0: np.ndarray,
+    n_max: int,
+    observables: list[DiagonalObservable],
+) -> np.ndarray:
+    """<X_k> at t = nT for every cell, as a (cells, observables, n_max + 1) array.
+
+    All observables of all cells are taken in one product per period; each
+    value is a row sum, so a cell's record does not depend on the block.
+    """
+    op = as_operator(model)
+    for obs in observables:
+        if len(obs.diag) != op.dim:
+            raise ValueError(f"observable {obs.label!r} has dimension {len(obs.diag)}, state has {op.dim}")
+    # each diagonal repeated to match the interleaved (re, im) float view
+    diags = np.repeat(np.array([obs.diag for obs in observables], dtype=float), 2, axis=-1)
+    records = np.empty((op.cells, len(observables), n_max + 1))
+    for n, (psi, _) in enumerate(evolve(op, psi0, n_max)):
+        parts = psi.view(np.float64)
+        records[:, :, n] = np.add.reduce((parts * parts)[:, np.newaxis] * diags, axis=-1)
+    return records
+
+
 def stroboscopic_trajectory(
     model: ModelSpec | FloquetOperator,
     psi0: np.ndarray,
     n_max: int,
     observables: list[DiagonalObservable],
 ) -> list[TimeSeries]:
-    """Evolve psi0 for n_max periods, recording each observable at every n."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    """Evolve psi0 for n_max periods, recording each observable at every n: one cell's expectation_records."""
     op = as_operator(model)
-    op._require_dim(psi0)
-    for obs in observables:
-        if len(obs.diag) != op.dim:
-            raise ValueError(f"observable {obs.label!r} has dimension {len(obs.diag)}, state has {op.dim}")
-    records = np.empty((len(observables), n_max + 1))
-    psi = np.asarray(psi0, dtype=np.complex128)
-    for n in range(n_max + 1):
-        for k, obs in enumerate(observables):
-            records[k, n] = states.expectation_diagonal(psi, obs.diag)
-        if n < n_max:
-            psi = op.apply(psi)
+    spec = op.spec
+    records = expectation_records(op, psi0, n_max, observables)[0]
     times = np.arange(n_max + 1)
     return [
-        TimeSeries(times=times, values=records[k], label=obs.label, spec=op.spec)
+        TimeSeries(times=times, values=records[k], label=obs.label, spec=spec)
         for k, obs in enumerate(observables)
     ]
 

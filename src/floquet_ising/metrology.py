@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dynamics import DiagonalObservable
+from .dynamics import DiagonalObservable, evolve
 from .model import TARGET_HX, TARGET_J, FloquetOperator, ModelSpec, as_operator
 
 QFI = "qfi"
@@ -53,35 +53,24 @@ def evolve_with_derivative(
     psi0: np.ndarray,
     n_max: int,
 ) -> Iterator[DerivativeState]:
-    """Yield (psi_n, d psi_n) for n = 0..n_max.
-
-    Product rule over periods: d psi_{n+1} = U d psi_n + (dU) psi_n with
-    d psi_0 = 0, one stacked propagator pass per period.
-    """
+    """Yield (psi_n, d psi_n) for n = 0..n_max of one cell: the one-cell view of dynamics.evolve."""
     op = as_operator(model)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if target == TARGET_J and not op.spec.uniform:
-        raise ValueError("J-derivative requires uniform couplings")
-    psi = np.array(psi0, dtype=np.complex128)
-    op._require_dim(psi)
-    dpsi = np.zeros_like(psi)
-    yield DerivativeState(psi=psi, dpsi=dpsi, target=target, n=0)
-    for n in range(1, n_max + 1):
-        psi, dpsi = op.apply_with_derivative(target, psi, dpsi)
-        yield DerivativeState(psi=psi, dpsi=dpsi, target=target, n=n)
+    op._require_one_cell()
+    for n, (psi, dpsi) in enumerate(evolve(op, psi0, n_max, target)):
+        yield DerivativeState(psi=psi[0], dpsi=dpsi[0], target=target, n=n)
 
 
-def qfi_value(psi: np.ndarray, dpsi: np.ndarray) -> float:
-    """Pure-state QFI, 4 [ <d psi|d psi> - |<psi|d psi>|^2 ].
+def qfi_value(psi: np.ndarray, dpsi: np.ndarray) -> float | np.ndarray:
+    """Pure-state QFI, 4 [ <d psi|d psi> - |<psi|d psi>|^2 ], of a state or of each row of a block.
 
     Evaluated as 4 ||d psi - psi <psi|d psi>||^2: identical for a
     normalized state, but the cancellation happens on amplitudes instead
     of between two large scalars, which keeps analytic zeros (pure-phase
     sensitivity) at rounding level even after thousands of periods.
     """
-    orthogonal = dpsi - psi * np.vdot(psi, dpsi)
-    return 4.0 * float(np.vdot(orthogonal, orthogonal).real)
+    overlap = np.add.reduce(psi.conj() * dpsi, axis=-1)
+    orthogonal = (dpsi - psi * overlap[..., np.newaxis]).view(np.float64)
+    return 4.0 * np.add.reduce(orthogonal * orthogonal, axis=-1)
 
 
 @dataclass
@@ -111,6 +100,20 @@ class FisherSeries:
         return len(self.values)
 
 
+def qfi_records(
+    model: ModelSpec | FloquetOperator,
+    target: str,
+    psi0: np.ndarray,
+    n_max: int,
+) -> np.ndarray:
+    """Exact-derivative QFI of every cell at n = 0..n_max, as a (cells, n_max + 1) array."""
+    op = as_operator(model)
+    values = np.empty((op.cells, n_max + 1))
+    for n, (psi, dpsi) in enumerate(evolve(op, psi0, n_max, target)):
+        values[:, n] = qfi_value(psi, dpsi)
+    return values
+
+
 def qfi_series(
     model: ModelSpec | FloquetOperator,
     target: str,
@@ -119,14 +122,11 @@ def qfi_series(
 ) -> FisherSeries:
     """Exact-derivative QFI at every stroboscopic time n = 0..n_max."""
     op = as_operator(model)
-    values = np.empty(n_max + 1)
-    for state in evolve_with_derivative(op, target, psi0, n_max):
-        values[state.n] = qfi_value(state.psi, state.dpsi)
     return FisherSeries(
         kind=QFI,
         target=target,
         times=np.arange(n_max + 1),
-        values=values,
+        values=qfi_records(op, target, psi0, n_max)[0],
         period=op.spec.protocol.period,
     )
 
@@ -139,13 +139,6 @@ def _shifted_spec(spec: ModelSpec, target: str, delta: float) -> ModelSpec:
     raise ValueError(f"unknown derivative target {target!r}")
 
 
-def _evolved_state(op: FloquetOperator, psi0: np.ndarray, n: int) -> np.ndarray:
-    psi = np.asarray(psi0, dtype=np.complex128)
-    for _ in range(n):
-        psi = op.apply(psi)
-    return psi
-
-
 def qfi_finite_difference(
     model: ModelSpec | FloquetOperator,
     target: str,
@@ -156,15 +149,15 @@ def qfi_finite_difference(
     """Fidelity-susceptibility oracle, 8 (1 - |<psi(theta)|psi(theta+delta)>|) / delta^2.
 
     O(delta^2) accurate; independent of the exact-derivative path so the
-    two can cross-validate each other.
+    two can cross-validate each other. Both states come from one two-cell
+    evolution.
     """
     if not 1e-7 <= delta <= 1e-3:
         raise ValueError(f"delta must lie in [1e-7, 1e-3], got {delta}")
-    op = as_operator(model)
-    shifted = FloquetOperator(_shifted_spec(op.spec, target, delta))
-    psi_a = _evolved_state(op, psi0, n)
-    psi_b = _evolved_state(shifted, psi0, n)
-    fidelity = abs(np.vdot(psi_a, psi_b))
+    spec = as_operator(model).spec
+    pair = FloquetOperator([spec, _shifted_spec(spec, target, delta)])
+    *_, (psi, _) = evolve(pair, psi0, n)
+    fidelity = abs(np.vdot(psi[0], psi[1]))
     return 8.0 * (1.0 - fidelity) / delta**2
 
 
@@ -235,29 +228,48 @@ class CurvatureFit:
         return self.a
 
 
-def curvature_fit(series: FisherSeries, window_fraction: float = 0.5) -> CurvatureFit:
-    """Quadratic tail fit of a Fisher series over its defined points."""
+def tail_window(count: int, window_fraction: float) -> slice:
+    """The last ceil(window_fraction * count) of count points, at least 8 of them."""
     if not 0 < window_fraction <= 1:
         raise ValueError(f"window_fraction must lie in (0, 1], got {window_fraction}")
+    size = int(np.ceil(window_fraction * count))
+    if size < 8:
+        raise ValueError(f"need at least 8 defined points in the fit window, got {size}")
+    return slice(count - size, count)
+
+
+def quadratic_fits(t: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares F(t) = a t^2 / 2 + b t + c through every row of f, one solve for all rows.
+
+    The rows share the sample times t, so they share the design matrix: its
+    pseudo-inverse, in the scaled domain x = (t - mid) / half for
+    conditioning, is taken once and applied to each row as a row sum (so a
+    row's fit does not depend on the other rows). Returns the (rows, 3)
+    coefficients (a, b, c) and each row's rms residual.
+    """
+    mid, half = (t[-1] + t[0]) / 2.0, (t[-1] - t[0]) / 2.0
+    x = (t - mid) / half
+    solve = np.linalg.pinv(np.stack([np.ones_like(x), x, x * x], axis=1))
+    p0, p1, p2 = (f[:, np.newaxis, :] * solve).sum(axis=-1).T
+    # back from powers of x to ordinary polynomial coefficients in t
+    half_a = p2 / half**2
+    b = p1 / half - 2.0 * mid * half_a
+    c = p0 - p1 * mid / half + mid**2 * half_a
+    residual = f - (half_a[:, np.newaxis] * t**2 + b[:, np.newaxis] * t + c[:, np.newaxis])
+    return np.stack([2.0 * half_a, b, c], axis=1), np.sqrt(np.mean(residual**2, axis=-1))
+
+
+def curvature_fit(series: FisherSeries, window_fraction: float = 0.5) -> CurvatureFit:
+    """Quadratic tail fit of a Fisher series over its defined points."""
     defined = np.nonzero(series.defined())[0]
-    count = int(np.ceil(window_fraction * len(defined)))
-    window = defined[len(defined) - count :]
-    if len(window) < 8:
-        raise ValueError(
-            f"need at least 8 defined points in the fit window, got {len(window)}"
-        )
+    window = defined[tail_window(len(defined), window_fraction)]
     t = series.times[window] * series.period
-    f = series.values[window]
-    # fit in a scaled domain for conditioning, then convert back to
-    # ordinary polynomial coefficients
-    coefficients = np.polynomial.Polynomial.fit(t, f, deg=2).convert().coef
-    coefficients = np.pad(coefficients, (0, 3 - len(coefficients)))
-    c, b, half_a = (float(x) for x in coefficients)
-    residual = f - (half_a * t**2 + b * t + c)
+    (coefficients,), (rms,) = quadratic_fits(t, series.values[np.newaxis, window])
+    a, b, c = (float(x) for x in coefficients)
     return CurvatureFit(
-        a=2.0 * half_a,
+        a=a,
         b=b,
         c=c,
         window=(int(series.times[window[0]]), int(series.times[window[-1]])),
-        rms_residual=float(np.sqrt(np.mean(residual**2))),
+        rms_residual=float(rms),
     )

@@ -227,7 +227,7 @@ def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalys
     residual = 0.0
     for columns in halves:
         rows = eigenvectors[:, columns].T
-        residuals = op._period(rows)
+        residuals = op._period(rows[np.newaxis])[0]
         residuals -= rows * eigenvalues[columns, np.newaxis]
         residual = max(residual, float(np.max(_column_norms(residuals.T))))
     if residual > RESIDUAL_TOL:

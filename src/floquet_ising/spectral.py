@@ -43,19 +43,19 @@ class PowerSpectrum:
         return np.arange(self.sample_count) / (self.sample_count * self.period)
 
 
-def power_spectrum(signal: np.ndarray, period: float = 1.0) -> PowerSpectrum:
-    """Dense power spectrum of a real signal of even length >= 4.
+def _powers(x: np.ndarray) -> np.ndarray:
+    """|DFT_k|^2 of every row, from the half spectrum mirrored so P_k = P_{M-k} exactly."""
+    half = np.abs(np.fft.rfft(x, axis=-1)) ** 2  # bins 0..M/2
+    return np.concatenate([half, half[..., -2:0:-1]], axis=-1)
 
-    Computed from the half spectrum and mirrored, so the real-signal
-    symmetry P_k = P_{M-k} holds exactly.
-    """
+
+def power_spectrum(signal: np.ndarray, period: float = 1.0) -> PowerSpectrum:
+    """Dense power spectrum of a real signal of even length >= 4."""
     x = np.asarray(signal, dtype=float)
     m = len(x)
     if m < 4 or m % 2:
         raise ValueError(f"signal length must be even and >= 4, got {m}")
-    half = np.abs(np.fft.rfft(x)) ** 2  # bins 0..M/2
-    powers = np.concatenate([half, half[-2:0:-1]])
-    return PowerSpectrum(powers=powers, period=period)
+    return PowerSpectrum(powers=_powers(x), period=period)
 
 
 # halfwidth of the subharmonic band as a fraction of the sampling rate 1/T.
@@ -85,6 +85,37 @@ class SubharmonicDiagnostic:
     band: tuple[int, int] = (256, 256)
 
 
+def subharmonic_weights(
+    values: np.ndarray,
+    discard: int = 50,
+    samples: int = 512,
+    band_fraction: float = SUBHARMONIC_BAND_FRACTION,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Subharmonic weight of every row of a (rows, length) array, and each row's power spectrum.
+
+    One rfft along the time axis serves all rows; each row uses its
+    mean-subtracted window values[discard : discard + samples]. A static
+    row (negligible total power in the nonzero bins) gets weight 0 by
+    convention.
+    """
+    if samples < 4 or samples % 2:
+        raise ValueError(f"samples must be even and >= 4, got {samples}")
+    if discard < 0:
+        raise ValueError(f"discard must be >= 0, got {discard}")
+    if values.shape[-1] < discard + samples:
+        raise ValueError(
+            f"series of length {values.shape[-1]} cannot provide {discard} transient + {samples} analysis samples"
+        )
+    window = values[:, discard : discard + samples]
+    powers = _powers(window - window.mean(axis=-1, keepdims=True))
+    total = powers[:, 1:].sum(axis=-1)
+    lo, hi = subharmonic_band(samples, band_fraction)
+    static = total < STATIC_POWER_CUTOFF * samples
+    weights = powers[:, lo : hi + 1].sum(axis=-1) / np.where(static, 1.0, total)
+    weights[static] = 0.0
+    return weights, powers
+
+
 def subharmonic_weight(
     series,
     discard: int = 50,
@@ -92,36 +123,14 @@ def subharmonic_weight(
     period: float | None = None,
     band_fraction: float = SUBHARMONIC_BAND_FRACTION,
 ) -> SubharmonicDiagnostic:
-    """Fraction of oscillatory power in the subharmonic (f = 1/2T) band.
-
-    Uses the mean-subtracted window values[discard : discard + samples].
-    A static signal (negligible total power in the nonzero bins) gets
-    weight 0 by convention.
-    """
-    values = _series_values(series)
-    if samples < 4 or samples % 2:
-        raise ValueError(f"samples must be even and >= 4, got {samples}")
-    if discard < 0:
-        raise ValueError(f"discard must be >= 0, got {discard}")
-    if len(values) < discard + samples:
-        raise ValueError(
-            f"series of length {len(values)} cannot provide {discard} transient + {samples} analysis samples"
-        )
+    """Fraction of oscillatory power in the subharmonic (f = 1/2T) band: subharmonic_weights of one row."""
+    (weight,), (powers,) = subharmonic_weights(_series_values(series)[np.newaxis], discard, samples, band_fraction)
     if period is None:
         period = series.period if isinstance(series, TimeSeries) else 1.0
-    window = values[discard : discard + samples]
-    window = window - window.mean()
-    spectrum = power_spectrum(window, period=period)
-    total = float(spectrum.powers[1:].sum())
-    lo, hi = subharmonic_band(samples, band_fraction)
-    if total < STATIC_POWER_CUTOFF * samples:
-        weight = 0.0
-    else:
-        weight = float(spectrum.powers[lo : hi + 1].sum() / total)
     return SubharmonicDiagnostic(
-        weight=weight,
-        spectrum=spectrum,
+        weight=float(weight),
+        spectrum=PowerSpectrum(powers=powers, period=period),
         transient_discard=discard,
         sample_count=samples,
-        band=(lo, hi),
+        band=subharmonic_band(samples, band_fraction),
     )

@@ -1,24 +1,30 @@
 """Parallel evaluation of diagnostics over (h_x T, J T) grids.
 
-Grid cells are independent work items; results are reduced by cell index,
-so a sweep is a deterministic function of the grid regardless of worker
-count or schedule. A cell whose numerics fail (a NumericalError or a
-LinAlgError) is recorded as nan instead of aborting the sweep; any other
-exception aborts it.
+The recurrence diagnostics (weight, kappa_hx, kappa_j) split the
+row-major cell list into contiguous, near-equal blocks: at least one per
+worker, each within a fixed byte budget for its (cells, rows, 2^N) state
+block. A block is one FloquetOperator evolved by one loop, reduced by one
+rfft (weight) or one least-squares solve (kappa); the recurrence raises
+no numerical errors, so a block succeeds or fails as a whole. The eigen
+diagnostics (pi_fraction, overlap) stay one task per cell, and a cell
+whose numerics fail (a NumericalError or a LinAlgError) is recorded as
+nan instead of aborting the sweep; any other exception aborts it.
+
+Results are reduced by cell index, and every per-cell product and sum is
+taken one row at a time, so a sweep is a deterministic function of the
+grid, independent of worker count, block size and schedule.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from . import metrology, quasienergy, spectral
-from .dynamics import magnetization_series
+from .dynamics import expectation_records, total_magnetization
 from .errors import NumericalError
-from .model import FIELD_THEN_ISING, TARGET_HX, TARGET_J, ModelSpec, default_boundary
+from .model import FIELD_THEN_ISING, TARGET_HX, TARGET_J, FloquetOperator, ModelSpec, default_boundary
 from .states import all_zero_state
 
 WEIGHT = "weight"
@@ -29,6 +35,11 @@ KAPPA_J = "kappa_j"
 DIAGNOSTICS = (WEIGHT, PI_FRACTION, OVERLAP, KAPPA_HX, KAPPA_J)
 
 DEFAULT_PD_THRESHOLD = 0.8
+
+# byte budget of one (cells, rows, 2^N) complex block of recurrence cells,
+# 64 cells of 2 rows at N=7: large enough to spread each period's
+# interpreter overhead over many cells, small enough to stay in cache
+BLOCK_BYTES = 64 * 2 * 16 << 7
 
 
 @dataclass(frozen=True)
@@ -96,29 +107,16 @@ class PhaseDiagram:
 
 
 def _cell_value(task: tuple) -> float:
-    """Evaluate one diagnostic at one grid cell; nan on a numerical failure."""
+    """Evaluate an eigen diagnostic at one grid cell; nan on a numerical failure."""
     diagnostic, grid, hx_t, j_t, settings = task
-    if diagnostic not in DIAGNOSTICS:
-        raise ValueError(f"diagnostic must be one of {DIAGNOSTICS}, got {diagnostic!r}")
     spec = grid.model_at(hx_t, j_t)
-    psi0 = all_zero_state(grid.n_qubits)
     try:
-        if diagnostic == WEIGHT:
-            n_max = settings.transient_discard + settings.spectrum_samples
-            series = magnetization_series(spec, psi0, n_max)
-            return spectral.subharmonic_weight(
-                series, settings.transient_discard, settings.spectrum_samples
-            ).weight
-        if diagnostic in (PI_FRACTION, OVERLAP):
-            analysis = quasienergy.detect_pi_pairs(
-                quasienergy.floquet_eigensystem(spec), settings.pair_tolerance
-            )
-            if diagnostic == PI_FRACTION:
-                return analysis.pair_fraction
-            return quasienergy.overlap_weight(analysis, psi0)
-        target = TARGET_HX if diagnostic == KAPPA_HX else TARGET_J
-        series = metrology.qfi_series(spec, target, psi0, settings.n_max)
-        return metrology.curvature_fit(series, settings.fit_window).a
+        analysis = quasienergy.detect_pi_pairs(
+            quasienergy.floquet_eigensystem(spec), settings.pair_tolerance
+        )
+        if diagnostic == PI_FRACTION:
+            return analysis.pair_fraction
+        return quasienergy.overlap_weight(analysis, all_zero_state(grid.n_qubits))
     except (NumericalError, np.linalg.LinAlgError):
         # eigensolver edge cases at exact degeneracies must not destroy a
         # long sweep; the cell keeps a not-a-value marker. Any other
@@ -126,12 +124,31 @@ def _cell_value(task: tuple) -> float:
         return np.nan
 
 
-def _run_cells(tasks: list[tuple], workers: int) -> Iterable[float]:
+def _block_values(task: tuple) -> np.ndarray:
+    """Evaluate a recurrence diagnostic on a block of cells with one operator."""
+    diagnostic, grid, cells, settings = task
+    op = FloquetOperator([grid.model_at(hx_t, j_t) for hx_t, j_t in cells])
+    psi0 = all_zero_state(grid.n_qubits)
+    if diagnostic == WEIGHT:
+        n_max = settings.transient_discard + settings.spectrum_samples
+        mz = expectation_records(op, psi0, n_max, [total_magnetization(grid.n_qubits)])[:, 0]
+        return spectral.subharmonic_weights(mz, settings.transient_discard, settings.spectrum_samples)[0]
+    target = TARGET_HX if diagnostic == KAPPA_HX else TARGET_J
+    window = metrology.tail_window(settings.n_max + 1, settings.fit_window)
+    qfi = metrology.qfi_records(op, target, psi0, settings.n_max)[:, window]
+    t = np.arange(settings.n_max + 1)[window] * grid.period
+    return metrology.quadratic_fits(t, qfi)[0][:, 0]
+
+
+def _run(function, tasks: list[tuple], workers: int, chunksize: int = 1) -> list:
     if workers <= 1:
-        return [_cell_value(task) for task in tasks]
-    chunksize = max(1, len(tasks) // (8 * workers))
+        return [function(task) for task in tasks]
+    # imported here: it costs about a tenth of the package import, which
+    # every serial run and every CLI command would otherwise pay
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_cell_value, tasks, chunksize=chunksize))
+        return list(pool.map(function, tasks, chunksize=chunksize))
 
 
 def sweep_diagnostic(
@@ -143,13 +160,21 @@ def sweep_diagnostic(
     settings = settings or SweepSettings()
     h_values = grid.h_values()
     j_values = grid.j_values()
-    tasks = [
-        (diagnostic, grid, float(h), float(j), settings)
-        for h in h_values
-        for j in j_values
-    ]
-    flat = np.asarray(list(_run_cells(tasks, settings.workers)))
-    values = flat.reshape(len(h_values), len(j_values))
+    cells = [(float(h), float(j)) for h in h_values for j in j_values]
+    if diagnostic in (PI_FRACTION, OVERLAP):
+        tasks = [(diagnostic, grid, h, j, settings) for h, j in cells]
+        chunksize = max(1, len(tasks) // (8 * settings.workers))
+        flat = _run(_cell_value, tasks, settings.workers, chunksize)
+    else:
+        rows = 1 if diagnostic == WEIGHT else 2
+        cap = max(1, BLOCK_BYTES // (rows * 16 << grid.n_qubits))
+        count = min(len(cells), max(settings.workers, -(-len(cells) // cap)))
+        tasks = [
+            (diagnostic, grid, [cells[i] for i in block], settings)
+            for block in np.array_split(np.arange(len(cells)), count)
+        ]
+        flat = np.concatenate(_run(_block_values, tasks, settings.workers))
+    values = np.asarray(flat).reshape(len(h_values), len(j_values))
     return PhaseDiagram(grid=grid, field_name=diagnostic, values=values)
 
 

@@ -3,8 +3,8 @@ tolerance, one printed pass line per criterion (run with -s to see them).
 
 Criteria 1-10 and 12 run in seconds; criterion 11 sweeps the larger
 chains and emits the full seven-qubit curvature maps, which dominates
-the runtime of this module (about 0.7 min for the N=7 maps with two
-workers on a 2-vCPU VM, one BLAS thread).
+the runtime of this module (about 10 s in all with two workers on a
+2-vCPU VM, one BLAS thread).
 """
 
 import time

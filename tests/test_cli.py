@@ -203,6 +203,27 @@ class TestCommands:
         assert "workers" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("command", ["evolve", "quasi"])
+    def test_non_finite_field_is_usage_error(self, tmp_path, capsys, command):
+        code = main([command, "--hxt", "nan", "--periods" if command == "evolve" else "-N", "3",
+                     "-o", str(tmp_path / command)])
+        assert code == 2
+        assert "hx_t must be finite" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
+    def test_non_finite_period_and_couplings_are_usage_errors(self, tmp_path, capsys):
+        assert main(["qfi", "--theta", "hx", "--period", "inf", "-o", str(tmp_path / "a")]) == 2
+        assert "period must be finite" in capsys.readouterr().err
+        assert main(["quasi", "--couplings", "1.5,nan,1.7", "-o", str(tmp_path / "b")]) == 2
+        assert "couplings must be finite" in capsys.readouterr().err
+
+    def test_non_finite_grid_bound_is_usage_error(self, tmp_path, capsys):
+        code = main(["sweep", "--h-max", "inf", "--h-count", "2", "--j-count", "2",
+                     "-o", str(tmp_path / "sweep")])
+        assert code == 2
+        assert "h_max must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_invalid_model_is_reported(self, capsys):
         code = main(["quasi", "--n-qubits", "2", "--boundary", "ring"])
         assert code == 1

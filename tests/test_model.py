@@ -92,6 +92,81 @@ class TestSpecValidation:
             DriveProtocol(step_order="bogus")
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_and_couplings_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(n_qubits=3, h_x=bad, couplings=1.0, boundary=RING)
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(n_qubits=3, h_x=1.0, couplings=bad, boundary=RING)
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec.dimensionless(4, 1.0, [0.5, bad, 0.7], boundary=CHAIN)
+
+    def test_non_finite_protocol_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DriveProtocol(period=np.inf, t1=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            DriveProtocol(period=np.nan, t1=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            DriveProtocol(period=1.0, t1=np.nan)
+
+
+class TestBlockOperator:
+    """A multi-spec operator evolves each cell as its own single-spec operator would."""
+
+    @pytest.mark.parametrize("order", [FIELD_THEN_ISING, ISING_THEN_FIELD])
+    @pytest.mark.parametrize("n, boundary", [(3, RING), (4, CHAIN), (5, RING)])
+    def test_rows_match_single_spec_operators(self, rng, n, boundary, order):
+        bonds = n if boundary == RING else n - 1
+        specs = [
+            ModelSpec.dimensionless(n, 0.3, 1.1, boundary=boundary, step_order=order),
+            ModelSpec.dimensionless(n, 2.6, rng.uniform(0, 3, bonds), boundary=boundary, step_order=order),
+            ModelSpec.dimensionless(n, 0.0, 0.0, boundary=boundary, step_order=order),
+            ModelSpec.dimensionless(n, 1.9, rng.uniform(0, 3, bonds), boundary=boundary, step_order=order),
+        ]
+        block = FloquetOperator(specs)
+        psi = np.array([random_state(n, rng) for _ in specs])
+        dpsi = np.array([random_state(n, rng) for _ in specs])
+        evolved = block.apply(psi)
+        moved, derivative = block.apply_with_derivative(TARGET_HX, psi, dpsi)
+        for c, spec in enumerate(specs):
+            single = FloquetOperator(spec)
+            assert np.abs(evolved[c] - single.apply(psi[c])).max() <= 1e-15
+            one_psi, one_dpsi = single.apply_with_derivative(TARGET_HX, psi[c], dpsi[c])
+            assert np.abs(moved[c] - one_psi).max() <= 1e-15
+            assert np.abs(derivative[c] - one_dpsi).max() <= 1e-15
+
+    def test_coupling_derivative_rows(self, rng):
+        specs = [ModelSpec.dimensionless(4, h, j) for h, j in ((0.4, 2.0), (2.6, 1.57), (1.0, 0.0))]
+        psi = np.array([random_state(4, rng) for _ in specs])
+        dpsi = np.array([random_state(4, rng) for _ in specs])
+        moved, derivative = FloquetOperator(specs).apply_with_derivative(TARGET_J, psi, dpsi)
+        for c, spec in enumerate(specs):
+            one_psi, one_dpsi = FloquetOperator(spec).apply_with_derivative(TARGET_J, psi[c], dpsi[c])
+            assert np.abs(moved[c] - one_psi).max() <= 1e-15
+            assert np.abs(derivative[c] - one_dpsi).max() <= 1e-15
+
+    def test_mixed_blocks_rejected(self):
+        base = ModelSpec.dimensionless(4, 1.0, 1.0)
+        with pytest.raises(ValueError, match="share"):
+            FloquetOperator([base, ModelSpec.dimensionless(5, 1.0, 1.0)])
+        with pytest.raises(ValueError, match="share"):
+            FloquetOperator([base, ModelSpec.dimensionless(4, 1.0, 1.0, step_order=ISING_THEN_FIELD)])
+        with pytest.raises(ValueError, match="share"):
+            FloquetOperator([base, ModelSpec.dimensionless(4, 1.0, 1.0, period=2.0)])
+        with pytest.raises(ValueError, match="share"):
+            FloquetOperator([base, ModelSpec.dimensionless(4, 1.0, 1.0, boundary=RING)])
+        with pytest.raises(ValueError, match="at least one"):
+            FloquetOperator([])
+
+    def test_block_has_no_single_spec(self, rng):
+        block = FloquetOperator([ModelSpec.dimensionless(3, 1.0, 1.0)] * 2)
+        for read in (lambda: block.spec, lambda: block.ising_phase, block.dense):
+            with pytest.raises(ValueError, match="2 cells"):
+                read()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            block.apply(random_state(3, rng))
+
+
 class TestApplyFloquet:
     def test_diagonal_action_on_aligned_state(self):
         # h_x = 0: U_F reduces to Ising phases; H_z|000> = 3J|000> on the ring

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from floquet_ising import sweep
+from floquet_ising.dynamics import magnetization_series
 from floquet_ising.errors import NumericalError
-from floquet_ising.model import CHAIN
+from floquet_ising.metrology import curvature_fit, qfi_series
+from floquet_ising.model import CHAIN, FIELD_THEN_ISING, ISING_THEN_FIELD, RING, TARGET_HX, TARGET_J
+from floquet_ising.spectral import subharmonic_weight
+from floquet_ising.states import all_zero_state
 from floquet_ising.sweep import (
     KAPPA_HX,
     KAPPA_J,
@@ -121,11 +126,52 @@ class TestCurvatureMaps:
         assert np.abs(diagram.values[0, :]).max() < 1e-9
 
 
+class TestBatchedOracle:
+    """Blocked sweeps against the per-cell public functions."""
+
+    # agreement within TOL * (1 + |value|); the two paths share one loop, so
+    # only a cell mix-up or a block-dependent reduction could exceed it
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("order", [FIELD_THEN_ISING, ISING_THEN_FIELD])
+    @pytest.mark.parametrize("n, boundary", [(3, RING), (3, CHAIN), (4, CHAIN), (4, RING), (7, CHAIN), (7, RING)])
+    def test_matches_per_cell_functions(self, n, boundary, order):
+        grid = GridSpec(h_range=(0.4, 2.6, 2), j_range=(0.3, 1.57, 3), n_qubits=n,
+                        boundary=boundary, step_order=order)
+        settings = SweepSettings(n_max=120)
+        psi0 = all_zero_state(n)
+        for diagnostic in ("weight", KAPPA_HX, KAPPA_J):
+            values = sweep_diagnostic(grid, diagnostic, settings).values
+            for a, h in enumerate(grid.h_values()):
+                for b, j in enumerate(grid.j_values()):
+                    spec = grid.model_at(h, j)
+                    if diagnostic == "weight":
+                        expected = subharmonic_weight(magnetization_series(spec, psi0, 562)).weight
+                    else:
+                        target = TARGET_HX if diagnostic == KAPPA_HX else TARGET_J
+                        expected = curvature_fit(qfi_series(spec, target, psi0, settings.n_max)).a
+                    assert abs(values[a, b] - expected) <= self.TOL * (1 + abs(expected))
+
+
 class TestDeterminismAndIsolation:
     def test_worker_counts_agree(self, toy_grid):
         serial = sweep_diagnostic(toy_grid, "weight", SweepSettings(workers=1))
         parallel = sweep_diagnostic(toy_grid, "weight", SweepSettings(workers=2))
         assert np.array_equal(serial.values, parallel.values)
+
+    @pytest.mark.parametrize("diagnostic", ["weight", KAPPA_J])
+    def test_block_size_independent(self, monkeypatch, diagnostic):
+        # block sizes 1, 7 and the whole grid, on 1 and 2 workers
+        grid = GridSpec(h_range=(0.0, np.pi, 9), j_range=(0.0, np.pi, 5))
+        rows = 1 if diagnostic == "weight" else 2
+        diagrams = []
+        for size in (1, 7, 45):
+            monkeypatch.setattr(sweep, "BLOCK_BYTES", size * rows * 16 << grid.n_qubits)
+            for workers in (1, 2):
+                settings = SweepSettings(n_max=60, workers=workers)
+                diagrams.append(sweep_diagnostic(grid, diagnostic, settings).values)
+        for values in diagrams[1:]:
+            assert np.abs(values - diagrams[0]).max() <= 1e-12
 
     def test_repeated_runs_identical(self, toy_grid):
         a = sweep_diagnostic(toy_grid, "pi_fraction")
@@ -134,22 +180,26 @@ class TestDeterminismAndIsolation:
 
     @staticmethod
     def poison_row(monkeypatch, error):
-        """Make every cell of the h_x T = pi/4 row raise error."""
-        from floquet_ising import sweep as sweep_module
+        """Make the eigensystem of every cell of the h_x T = pi/4 row raise error.
 
-        real = sweep_module.magnetization_series
+        Eigen diagnostics run one task per cell, so a failure stays in its
+        cell; recurrence cells run in blocks and raise no numerical errors.
+        """
+        from floquet_ising import quasienergy
 
-        def poisoned(model, psi0, n_max):
+        real = quasienergy.floquet_eigensystem
+
+        def poisoned(model):
             if abs(model.h_x - np.pi / 4) < 1e-9:
                 raise error
-            return real(model, psi0, n_max)
+            return real(model)
 
-        monkeypatch.setattr(sweep_module, "magnetization_series", poisoned)
+        monkeypatch.setattr(quasienergy, "floquet_eigensystem", poisoned)
 
     def test_cell_failure_is_isolated(self, toy_grid, monkeypatch):
         # one cell with failed numerics must not abort the sweep
         self.poison_row(monkeypatch, NumericalError("injected failure"))
-        diagram = sweep_diagnostic(toy_grid, "weight")
+        diagram = sweep_diagnostic(toy_grid, "pi_fraction")
         assert np.isnan(diagram.values[1, :]).all()
         assert np.isfinite(diagram.values[[0, 2, 3, 4], :]).all()
 
@@ -157,4 +207,15 @@ class TestDeterminismAndIsolation:
         # anything but a numerical failure is a bug and must not become nan
         self.poison_row(monkeypatch, RuntimeError("injected bug"))
         with pytest.raises(RuntimeError, match="injected bug"):
+            sweep_diagnostic(toy_grid, "pi_fraction")
+
+    def test_block_error_propagates(self, toy_grid, monkeypatch):
+        # a recurrence block fails as a whole: no error becomes nan there
+        from floquet_ising import spectral
+
+        def failing(*args):
+            raise NumericalError("injected block failure")
+
+        monkeypatch.setattr(spectral, "subharmonic_weights", failing)
+        with pytest.raises(NumericalError, match="injected block failure"):
             sweep_diagnostic(toy_grid, "weight")
