@@ -19,12 +19,9 @@ from .dynamics import (
 from .errors import NumericalError
 from .metrology import (
     CurvatureFit,
-    DerivativeState,
     FisherSeries,
     cfi_series,
     curvature_fit,
-    evolve_with_derivative,
-    qfi_finite_difference,
     qfi_series,
     qfi_value,
 )
@@ -43,7 +40,6 @@ from .model import (
 from .quasienergy import (
     QuasienergyAnalysis,
     analyze,
-    circle_distance,
     default_pair_tolerance,
     detect_pi_pairs,
     floquet_eigensystem,
@@ -55,7 +51,7 @@ from .spectral import (
     power_spectrum,
     subharmonic_weight,
 )
-from .states import all_zero_state, basis_state, expectation_diagonal, inner_product
+from .states import all_zero_state
 from .sweep import (
     DIAGNOSTICS,
     GridSpec,
@@ -71,7 +67,6 @@ __all__ = [
     "CHAIN",
     "CurvatureFit",
     "DIAGNOSTICS",
-    "DerivativeState",
     "DiagonalObservable",
     "DriveProtocol",
     "FIELD_THEN_ISING",
@@ -92,24 +87,18 @@ __all__ = [
     "TimeSeries",
     "all_zero_state",
     "analyze",
-    "basis_state",
     "cfi_series",
-    "circle_distance",
     "classify_pd",
     "curvature_fit",
     "default_boundary",
     "default_pair_tolerance",
     "detect_pi_pairs",
-    "evolve_with_derivative",
-    "expectation_diagonal",
     "floquet_eigensystem",
-    "inner_product",
     "magnetization_series",
     "overlap_weight",
     "pair_correlation",
     "pair_correlation_series",
     "power_spectrum",
-    "qfi_finite_difference",
     "qfi_series",
     "qfi_value",
     "stroboscopic_trajectory",

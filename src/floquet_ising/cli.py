@@ -61,29 +61,32 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return config.validate()
 
 
+def _protocol(config: RunConfig) -> dict:
+    """Keywords shared by ModelSpec.dimensionless and GridSpec; boundary "auto" is None, the default by N."""
+    m = config.model
+    return {
+        "period": m.period,
+        "t1_fraction": m.t1_fraction,
+        "boundary": None if m.boundary == "auto" else m.boundary,
+        "step_order": m.step_order,
+    }
+
+
 def _build_model(config: RunConfig) -> ModelSpec:
     per_bond = config.per_bond_couplings()
-    return ModelSpec.dimensionless(
-        config.model.n_qubits,
-        config.model.hx_t,
-        per_bond if per_bond is not None else config.model.j_t,
-        period=config.model.period,
-        t1_fraction=config.model.t1_fraction,
-        boundary=None if config.model.boundary == "auto" else config.model.boundary,
-        step_order=config.model.step_order,
-    )
+    j_t = per_bond if per_bond is not None else config.model.j_t
+    return ModelSpec.dimensionless(config.model.n_qubits, config.model.hx_t, j_t, **_protocol(config))
 
 
 def _grid(config: RunConfig) -> sweep.GridSpec:
+    if config.per_bond_couplings() is not None:
+        raise ConfigError("sweep grids have uniform couplings; model.couplings must be empty")
     s = config.sweep
     return sweep.GridSpec(
         h_range=(s.h_min, s.h_max, s.h_count),
         j_range=(s.j_min, s.j_max, s.j_count),
         n_qubits=config.model.n_qubits,
-        boundary=None if config.model.boundary == "auto" else config.model.boundary,
-        period=config.model.period,
-        t1_fraction=config.model.t1_fraction,
-        step_order=config.model.step_order,
+        **_protocol(config),
     )
 
 
@@ -107,7 +110,9 @@ def _finish(directory, command, config, summary, files) -> int:
 def _cmd_evolve(args) -> int:
     config = _resolve_config(args)
     spec = _build_model(config)
-    periods = args.periods or config.analysis.transient_discard + config.analysis.spectrum_samples
+    periods = args.periods
+    if periods is None:
+        periods = config.analysis.transient_discard + config.analysis.spectrum_samples
     psi0 = all_zero_state(spec.n_qubits)
     observables = [total_magnetization(spec.n_qubits)]
     if spec.n_qubits >= 2:

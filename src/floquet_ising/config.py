@@ -103,6 +103,10 @@ class RunConfig:
                 f"analysis.pair_tolerance must be positive, or 0 for the default, "
                 f"got {self.analysis.pair_tolerance}"
             )
+        if not 0 < self.analysis.fit_window <= 1:
+            raise ConfigError(f"analysis.fit_window must lie in (0, 1], got {self.analysis.fit_window}")
+        if not 0 < self.analysis.pd_threshold < 1:
+            raise ConfigError(f"analysis.pd_threshold must lie in (0, 1), got {self.analysis.pd_threshold}")
         if self.sweep.workers < 1:
             raise ConfigError(f"sweep.workers must be at least 1, got {self.sweep.workers}")
         for section, values in self.to_dict().items():

@@ -10,7 +10,7 @@ one-cell case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -69,14 +69,7 @@ class TimeSeries:
     times: np.ndarray
     values: np.ndarray
     label: str
-    spec: ModelSpec | None = field(default=None, repr=False)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def period(self) -> float:
-        return self.spec.protocol.period if self.spec is not None else 1.0
+    period: float
 
 
 def evolve(
@@ -140,11 +133,11 @@ def stroboscopic_trajectory(
 ) -> list[TimeSeries]:
     """Evolve psi0 for n_max periods, recording each observable at every n: one cell's expectation_records."""
     op = as_operator(model)
-    spec = op.spec
+    period = op.spec.protocol.period
     records = expectation_records(op, psi0, n_max, observables)[0]
     times = np.arange(n_max + 1)
     return [
-        TimeSeries(times=times, values=records[k], label=obs.label, spec=spec)
+        TimeSeries(times=times, values=records[k], label=obs.label, period=period)
         for k, obs in enumerate(observables)
     ]
 

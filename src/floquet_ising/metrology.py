@@ -6,8 +6,7 @@ The quantum Fisher information for the pure Floquet-evolved state,
 
 is computed from an exact state-derivative recurrence: both step
 Hamiltonians are linear in their parameter, so d|psi_n>/d theta
-propagates alongside |psi_n> with no step-size tuning. A finite-difference
-fidelity-susceptibility estimator is kept as an independent oracle.
+propagates alongside |psi_n> with no step-size tuning.
 
 The classical Fisher information of a diagonal observable X uses the
 error-propagation form F_C = (d<X>/d theta)^2 / Var(X), with the gradient
@@ -17,12 +16,11 @@ taken from the same exact derivative states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .dynamics import DiagonalObservable, evolve
-from .model import TARGET_HX, TARGET_J, FloquetOperator, ModelSpec, as_operator
+from .model import FloquetOperator, ModelSpec, as_operator
 
 QFI = "qfi"
 CFI = "cfi"
@@ -35,29 +33,6 @@ FLAG_DIVERGENT = "divergent"
 # the gradient also vanishes, divergent otherwise
 VARIANCE_CUTOFF = 1e-12
 GRADIENT_CUTOFF = 1e-9
-
-
-@dataclass
-class DerivativeState:
-    """State and its exact parameter derivative after n periods."""
-
-    psi: np.ndarray
-    dpsi: np.ndarray
-    target: str
-    n: int
-
-
-def evolve_with_derivative(
-    model: ModelSpec | FloquetOperator,
-    target: str,
-    psi0: np.ndarray,
-    n_max: int,
-) -> Iterator[DerivativeState]:
-    """Yield (psi_n, d psi_n) for n = 0..n_max of one cell: the one-cell view of dynamics.evolve."""
-    op = as_operator(model)
-    op._require_one_cell()
-    for n, (psi, dpsi) in enumerate(evolve(op, psi0, n_max, target)):
-        yield DerivativeState(psi=psi[0], dpsi=dpsi[0], target=target, n=n)
 
 
 def qfi_value(psi: np.ndarray, dpsi: np.ndarray) -> float | np.ndarray:
@@ -96,9 +71,6 @@ class FisherSeries:
     def defined(self) -> np.ndarray:
         return self.flags == FLAG_OK
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def qfi_records(
     model: ModelSpec | FloquetOperator,
@@ -131,36 +103,6 @@ def qfi_series(
     )
 
 
-def _shifted_spec(spec: ModelSpec, target: str, delta: float) -> ModelSpec:
-    if target == TARGET_HX:
-        return spec.with_h_x(spec.h_x + delta)
-    if target == TARGET_J:
-        return spec.with_uniform_coupling(spec.couplings + delta)
-    raise ValueError(f"unknown derivative target {target!r}")
-
-
-def qfi_finite_difference(
-    model: ModelSpec | FloquetOperator,
-    target: str,
-    psi0: np.ndarray,
-    n: int,
-    delta: float = 1e-4,
-) -> float:
-    """Fidelity-susceptibility oracle, 8 (1 - |<psi(theta)|psi(theta+delta)>|) / delta^2.
-
-    O(delta^2) accurate; independent of the exact-derivative path so the
-    two can cross-validate each other. Both states come from one two-cell
-    evolution.
-    """
-    if not 1e-7 <= delta <= 1e-3:
-        raise ValueError(f"delta must lie in [1e-7, 1e-3], got {delta}")
-    spec = as_operator(model).spec
-    pair = FloquetOperator([spec, _shifted_spec(spec, target, delta)])
-    *_, (psi, _) = evolve(pair, psi0, n)
-    fidelity = abs(np.vdot(psi[0], psi[1]))
-    return 8.0 * (1.0 - fidelity) / delta**2
-
-
 def cfi_series(
     model: ModelSpec | FloquetOperator,
     target: str,
@@ -174,6 +116,7 @@ def cfi_series(
     derivative recurrence.
     """
     op = as_operator(model)
+    period = op.spec.protocol.period
     if len(observable.diag) != op.dim:
         raise ValueError(
             f"observable {observable.label!r} has dimension {len(observable.diag)}, state has {op.dim}"
@@ -183,11 +126,11 @@ def cfi_series(
     expectations = np.empty(n_max + 1)
     second_moments = np.empty(n_max + 1)
     gradients = np.empty(n_max + 1)
-    for state in evolve_with_derivative(op, target, psi0, n_max):
-        probs = state.psi.real**2 + state.psi.imag**2
-        expectations[state.n] = probs @ diag
-        second_moments[state.n] = probs @ (diag * diag)
-        gradients[state.n] = 2.0 * np.vdot(state.dpsi, diag * state.psi).real
+    for n, ((psi,), (dpsi,)) in enumerate(evolve(op, psi0, n_max, target)):
+        probs = psi.real**2 + psi.imag**2
+        expectations[n] = probs @ diag
+        second_moments[n] = probs @ (diag * diag)
+        gradients[n] = 2.0 * np.vdot(dpsi, diag * psi).real
 
     variances = second_moments - expectations**2
     values = np.full(n_max + 1, np.nan)
@@ -203,7 +146,7 @@ def cfi_series(
         target=target,
         times=np.arange(n_max + 1),
         values=values,
-        period=op.spec.protocol.period,
+        period=period,
         observable=observable.label,
         flags=flags,
     )

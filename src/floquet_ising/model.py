@@ -10,7 +10,7 @@ phases, with one Walsh-Hadamard transform W into and out of the field
 basis; W is applied as two small +-1 Kronecker factors, so one period
 costs O(2^(3N/2)) and keeps exact zeros exact. The derivative of a step
 with respect to its parameter is the same phase times a diagonal
-generator, and the dense matrix is one period applied to the identity.
+generator.
 
 An operator may hold a block of cells, one ModelSpec each, that share N,
 boundary and protocol: only the two phases depend on the cell, so they
@@ -20,7 +20,7 @@ at once. One spec is the block of one cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -154,14 +154,6 @@ class ModelSpec:
         if self.uniform:
             return np.full(n_bonds, self.couplings)
         return np.asarray(self.couplings)
-
-    def with_h_x(self, h_x: float) -> "ModelSpec":
-        return replace(self, h_x=h_x)
-
-    def with_uniform_coupling(self, j: float) -> "ModelSpec":
-        if not self.uniform:
-            raise ValueError("per-bond couplings cannot be shifted uniformly")
-        return replace(self, couplings=j)
 
 
 def _hadamard(bits: int) -> np.ndarray:
@@ -316,15 +308,6 @@ class FloquetOperator:
             raise ValueError("J-derivative requires uniform couplings")
         block = self._period(block, target)
         return block[:, 0].reshape(np.shape(psi)), block[:, 1].reshape(np.shape(psi))
-
-    def dense(self) -> np.ndarray:
-        """A one-cell operator's 2^N x 2^N unitary, column k = U_F |k>, from one period on every basis row.
-
-        The package itself never calls this (the eigensystem is built from
-        closed-form parity blocks); it is the tests' reference propagator.
-        """
-        self._require_one_cell()
-        return self._period(np.eye(self.dim)[np.newaxis])[0].T
 
 
 def as_operator(model: ModelSpec | FloquetOperator) -> FloquetOperator:

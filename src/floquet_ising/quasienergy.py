@@ -69,7 +69,6 @@ class QuasienergyAnalysis:
     epsilons: np.ndarray
     eigenvectors: np.ndarray
     period: float
-    spec: ModelSpec | None = field(default=None, repr=False)
     pairs: list[tuple[int, int]] = field(default_factory=list)
     gaps: np.ndarray = field(default_factory=lambda: np.empty(0))
     tolerance: float | None = None
@@ -237,16 +236,9 @@ def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalys
         )
 
     return QuasienergyAnalysis(
-        epsilons=epsilons, eigenvectors=eigenvectors, period=period, spec=op.spec,
+        epsilons=epsilons, eigenvectors=eigenvectors, period=period,
         modulus_error=modulus_error, residual=residual,
     )
-
-
-def circle_distance(eps_i: float, eps_j: float, period: float = 1.0) -> float:
-    """min_k |eps_i - eps_j + 2 pi k / T|, the quasienergy circle metric."""
-    zone = 2.0 * np.pi / period
-    raw = (eps_i - eps_j) % zone
-    return float(min(raw, zone - raw))
 
 
 def detect_pi_pairs(

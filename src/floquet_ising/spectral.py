@@ -80,9 +80,6 @@ class SubharmonicDiagnostic:
 
     weight: float
     spectrum: PowerSpectrum
-    transient_discard: int = 50
-    sample_count: int = 512
-    band: tuple[int, int] = (256, 256)
 
 
 def subharmonic_weights(
@@ -130,7 +127,4 @@ def subharmonic_weight(
     return SubharmonicDiagnostic(
         weight=float(weight),
         spectrum=PowerSpectrum(powers=powers, period=period),
-        transient_discard=discard,
-        sample_count=samples,
-        band=subharmonic_band(samples, band_fraction),
     )

@@ -24,7 +24,7 @@ import numpy as np
 from . import metrology, quasienergy, spectral
 from .dynamics import expectation_records, total_magnetization
 from .errors import NumericalError
-from .model import FIELD_THEN_ISING, TARGET_HX, TARGET_J, FloquetOperator, ModelSpec, default_boundary
+from .model import FIELD_THEN_ISING, TARGET_HX, TARGET_J, FloquetOperator, ModelSpec
 from .states import all_zero_state
 
 WEIGHT = "weight"
@@ -69,9 +69,6 @@ class GridSpec:
         lo, hi, count = self.j_range
         return np.linspace(lo, hi, count)
 
-    def resolved_boundary(self) -> str:
-        return self.boundary if self.boundary is not None else default_boundary(self.n_qubits)
-
     def model_at(self, hx_t: float, j_t: float) -> ModelSpec:
         return ModelSpec.dimensionless(
             self.n_qubits,
@@ -79,7 +76,7 @@ class GridSpec:
             j_t,
             period=self.period,
             t1_fraction=self.t1_fraction,
-            boundary=self.resolved_boundary(),
+            boundary=self.boundary,
             step_order=self.step_order,
         )
 

@@ -1,11 +1,13 @@
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
 
 from floquet_ising import ModelSpec, states
-from floquet_ising.metrology import VARIANCE_CUTOFF, _shifted_spec
-from floquet_ising.model import FIELD_THEN_ISING, FloquetOperator
+from floquet_ising.dynamics import evolve
+from floquet_ising.metrology import VARIANCE_CUTOFF
+from floquet_ising.model import FIELD_THEN_ISING, TARGET_HX, TARGET_J, FloquetOperator
 from floquet_ising.quasienergy import (
     DEGENERACY_CLUSTER_TOL,
     QuasienergyAnalysis,
@@ -36,6 +38,46 @@ def non_pd_spec():
     return ModelSpec.dimensionless(3, 2.6, 0.1)
 
 
+def dense(op: FloquetOperator) -> np.ndarray:
+    """Reference dense propagator of a one-cell operator, column k = U_F |k>,
+    from one period on every basis row."""
+    op._require_one_cell()
+    return op._period(np.eye(op.dim)[np.newaxis])[0].T
+
+
+def shifted_spec(spec: ModelSpec, target: str, delta: float) -> ModelSpec:
+    """spec with h_x or the uniform coupling J moved by delta."""
+    if target == TARGET_HX:
+        return replace(spec, h_x=spec.h_x + delta)
+    if target == TARGET_J:
+        if not spec.uniform:
+            raise ValueError("per-bond couplings cannot be shifted uniformly")
+        return replace(spec, couplings=spec.couplings + delta)
+    raise ValueError(f"unknown derivative target {target!r}")
+
+
+def qfi_finite_difference(spec, target, psi0, n, delta=1e-4) -> float:
+    """Fidelity-susceptibility oracle, 8 (1 - |<psi(theta)|psi(theta+delta)>|) / delta^2.
+
+    O(delta^2) accurate; independent of the exact-derivative path so the
+    two can cross-validate each other. Both states come from one two-cell
+    evolution.
+    """
+    if not 1e-7 <= delta <= 1e-3:
+        raise ValueError(f"delta must lie in [1e-7, 1e-3], got {delta}")
+    pair = FloquetOperator([spec, shifted_spec(spec, target, delta)])
+    *_, (psi, _) = evolve(pair, psi0, n)
+    fidelity = abs(np.vdot(psi[0], psi[1]))
+    return 8.0 * (1.0 - fidelity) / delta**2
+
+
+def circle_distance(eps_i: float, eps_j: float, period: float = 1.0) -> float:
+    """min_k |eps_i - eps_j + 2 pi k / T|, the quasienergy circle metric."""
+    zone = 2.0 * np.pi / period
+    raw = (eps_i - eps_j) % zone
+    return float(min(raw, zone - raw))
+
+
 def dense_by_kronecker(op: FloquetOperator) -> np.ndarray:
     """Reference dense propagator in closed form: the field step is the N-fold
     Kronecker power of the single-qubit rotation [[cos, -i sin], [-i sin, cos]],
@@ -58,18 +100,20 @@ def cfi_finite_difference(spec, target, observable, psi0, n_max, delta=1e-5) -> 
     """Reference CFI values with the gradient d<X>/d theta taken from
     trajectories at theta +- delta; nan where Var(X) is degenerate."""
     ops = [FloquetOperator(spec)] + [
-        FloquetOperator(_shifted_spec(spec, target, shift)) for shift in (delta, -delta)
+        FloquetOperator(shifted_spec(spec, target, shift)) for shift in (delta, -delta)
     ]
     psis = [np.asarray(psi0, dtype=np.complex128)] * 3
     diag = np.asarray(observable.diag, dtype=float)
+
+    def expectation(psi, d):
+        return float((psi.real * psi.real + psi.imag * psi.imag) @ d)
+
     values = np.full(n_max + 1, np.nan)
     for n in range(n_max + 1):
         psi, psi_p, psi_m = psis
-        mean = states.expectation_diagonal(psi, diag)
-        variance = states.expectation_diagonal(psi, diag * diag) - mean**2
-        gradient = (
-            states.expectation_diagonal(psi_p, diag) - states.expectation_diagonal(psi_m, diag)
-        ) / (2.0 * delta)
+        mean = expectation(psi, diag)
+        variance = expectation(psi, diag * diag) - mean**2
+        gradient = (expectation(psi_p, diag) - expectation(psi_m, diag)) / (2.0 * delta)
         if variance >= VARIANCE_CUTOFF:
             values[n] = gradient**2 / variance
         psis = [op.apply(p) for op, p in zip(ops, psis)]
@@ -90,9 +134,7 @@ def full_eig_eigensystem(spec: ModelSpec) -> QuasienergyAnalysis:
         if len(cluster) > 1:
             eigenvectors[:, cluster] = np.linalg.qr(eigenvectors[:, cluster])[0]
     eigenvectors /= np.linalg.norm(eigenvectors, axis=0, keepdims=True)
-    return QuasienergyAnalysis(
-        epsilons=epsilons, eigenvectors=eigenvectors, period=period, spec=spec
-    )
+    return QuasienergyAnalysis(epsilons=epsilons, eigenvectors=eigenvectors, period=period)
 
 
 def cluster_indices_loop(eigenvalues: np.ndarray) -> list[list[int]]:

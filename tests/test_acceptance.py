@@ -15,12 +15,14 @@ import pytest
 
 import floquet_ising as fi
 from floquet_ising import states
-from floquet_ising.dynamics import magnetization_series, pair_correlation, total_magnetization
-from floquet_ising.metrology import cfi_series, curvature_fit, qfi_finite_difference, qfi_series
+from floquet_ising.dynamics import evolve, magnetization_series, pair_correlation, total_magnetization
+from floquet_ising.metrology import cfi_series, curvature_fit, qfi_series
 from floquet_ising.model import TARGET_HX, TARGET_J, FloquetOperator, ModelSpec
 from floquet_ising.output import write_diagram
 from floquet_ising.spectral import power_spectrum, subharmonic_band, subharmonic_weight
 from floquet_ising.sweep import GridSpec, SweepSettings, sweep_diagnostic
+
+from conftest import dense, qfi_finite_difference
 
 PD = (2.6, 1.57)
 NON_PD_FIELD = (2.6, 0.1)  # same field, weak coupling
@@ -230,7 +232,7 @@ def test_c10_structural_invariants(psi0, rng=np.random.default_rng(31415)):
         for j in np.linspace(0, np.pi, 21):
             op = FloquetOperator(ModelSpec.dimensionless(3, h, j))
             analysis = fi.floquet_eigensystem(op)
-            u = op.dense()
+            u = dense(op)
             phases = np.exp(-1j * analysis.epsilons * analysis.period)
             res = u @ analysis.eigenvectors - analysis.eigenvectors * phases[np.newaxis, :]
             worst_residual = max(worst_residual, float(np.linalg.norm(res, axis=0).max()))
@@ -239,8 +241,8 @@ def test_c10_structural_invariants(psi0, rng=np.random.default_rng(31415)):
     # norm-derivative orthogonality along the evolution
     worst_overlap = 0.0
     for target in (TARGET_HX, TARGET_J):
-        for state in fi.evolve_with_derivative(spec_at(PD), target, psi0, 100):
-            worst_overlap = max(worst_overlap, abs(np.vdot(state.psi, state.dpsi).real))
+        for psi, dpsi in evolve(spec_at(PD), psi0, 100, target):
+            worst_overlap = max(worst_overlap, abs(np.vdot(psi, dpsi).real))
     assert worst_overlap <= 1e-9
     report(10, f"spectral symmetry {sym:.1e}, Parseval {parseval:.1e}, weight invariances, "
                f"eigen-residual {worst_residual:.1e} on 21x21 grid, Re<psi|dpsi> {worst_overlap:.1e}")

@@ -224,6 +224,33 @@ class TestCommands:
         assert "h_max must be finite" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    def test_zero_periods_is_rejected(self, tmp_path, capsys):
+        code = main(["evolve", "--periods", "0", "-o", str(tmp_path / "evolve")])
+        assert code == 1
+        assert "n_max must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "evolve").exists()
+
+    def test_fit_window_out_of_range_is_usage_error(self, tmp_path, capsys):
+        for command, window in (("cfi", "0"), ("qfi", "1.5")):
+            code = main([command, "--theta", "hx", "--fit-window", window, "-o", str(tmp_path / command)])
+            assert code == 2
+            assert "fit_window must lie in (0, 1]" in capsys.readouterr().err
+            assert not (tmp_path / command).exists()
+
+    def test_pd_threshold_out_of_range_is_usage_error(self, tmp_path, capsys):
+        code = main(["sweep", "--pd-threshold", "1.5", "--h-count", "2", "--j-count", "2",
+                     "-o", str(tmp_path / "sweep")])
+        assert code == 2
+        assert "pd_threshold must lie in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    def test_couplings_on_sweep_is_usage_error(self, tmp_path, capsys):
+        code = main(["sweep", "--couplings", "1,2,3", "--h-count", "2", "--j-count", "2",
+                     "-o", str(tmp_path / "sweep")])
+        assert code == 2
+        assert "couplings" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_invalid_model_is_reported(self, capsys):
         code = main(["quasi", "--n-qubits", "2", "--boundary", "ring"])
         assert code == 1

@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 from floquet_ising import states
-from floquet_ising.dynamics import pair_correlation, total_magnetization
+from floquet_ising.dynamics import evolve, pair_correlation, total_magnetization
 from floquet_ising.metrology import (
     FLAG_UNDEFINED,
     FisherSeries,
     cfi_series,
     curvature_fit,
-    evolve_with_derivative,
-    qfi_finite_difference,
     qfi_series,
     qfi_value,
 )
-from floquet_ising.model import TARGET_HX, TARGET_J, ModelSpec
+from floquet_ising.model import TARGET_HX, TARGET_J, FloquetOperator, ModelSpec
 
-from conftest import cfi_finite_difference
+from conftest import cfi_finite_difference, qfi_finite_difference, shifted_spec
 
 
 class TestDerivativeEvolution:
@@ -23,36 +21,32 @@ class TestDerivativeEvolution:
         # h_x = 0 ring: d psi_n = -i 3 T2 n e^{-i 3 J T2 n} |000>
         j = 0.8
         spec = ModelSpec(n_qubits=3, h_x=0.0, couplings=j, boundary="ring")
-        for state in evolve_with_derivative(spec, TARGET_J, states.all_zero_state(3), 20):
-            expected = -1.5j * state.n * np.exp(-1.5j * j * state.n)
-            assert state.dpsi[0] == pytest.approx(expected, abs=1e-12)
-            assert np.abs(state.dpsi[1:]).max() < 1e-15
+        for n, (_, (dpsi,)) in enumerate(evolve(spec, states.all_zero_state(3), 20, TARGET_J)):
+            expected = -1.5j * n * np.exp(-1.5j * j * n)
+            assert dpsi[0] == pytest.approx(expected, abs=1e-12)
+            assert np.abs(dpsi[1:]).max() < 1e-15
 
     def test_free_field_derivative_norm(self):
         # J = 0: <d psi|d psi> = n^2 T1^2 N
         spec = ModelSpec.dimensionless(3, 1.9, 0.0)
         t1 = spec.protocol.t1
-        for state in evolve_with_derivative(spec, TARGET_HX, states.all_zero_state(3), 30):
-            expected = 3 * (state.n * t1) ** 2
-            assert np.vdot(state.dpsi, state.dpsi).real == pytest.approx(expected, abs=1e-9)
+        for n, (_, (dpsi,)) in enumerate(evolve(spec, states.all_zero_state(3), 30, TARGET_HX)):
+            expected = 3 * (n * t1) ** 2
+            assert np.vdot(dpsi, dpsi).real == pytest.approx(expected, abs=1e-9)
 
     def test_matches_finite_difference_trajectory(self, pd_spec):
         # d psi_30 against central differences of the evolved state
         delta = 1e-5
-        last = None
-        for state in evolve_with_derivative(pd_spec, TARGET_J, states.all_zero_state(3), 30):
-            last = state
-        from floquet_ising.model import FloquetOperator
-
-        up = FloquetOperator(pd_spec.with_uniform_coupling(pd_spec.couplings + delta))
-        down = FloquetOperator(pd_spec.with_uniform_coupling(pd_spec.couplings - delta))
+        *_, (_, (dpsi,)) = evolve(pd_spec, states.all_zero_state(3), 30, TARGET_J)
+        up = FloquetOperator(shifted_spec(pd_spec, TARGET_J, delta))
+        down = FloquetOperator(shifted_spec(pd_spec, TARGET_J, -delta))
         psi_up = states.all_zero_state(3)
         psi_down = states.all_zero_state(3)
         for _ in range(30):
             psi_up = up.apply(psi_up)
             psi_down = down.apply(psi_down)
         numeric = (psi_up - psi_down) / (2 * delta)
-        assert np.linalg.norm(last.dpsi - numeric) / np.linalg.norm(numeric) < 1e-6
+        assert np.linalg.norm(dpsi - numeric) / np.linalg.norm(numeric) < 1e-6
 
     def test_norm_derivative_orthogonality(self, rng):
         # unitarity makes Re<psi|d psi> vanish identically
@@ -60,13 +54,13 @@ class TestDerivativeEvolution:
             h, j = rng.uniform(0.3, 3.0, size=2)
             spec = ModelSpec.dimensionless(3, h, j)
             for target in (TARGET_HX, TARGET_J):
-                for state in evolve_with_derivative(spec, target, states.all_zero_state(3), 60):
-                    assert abs(np.vdot(state.psi, state.dpsi).real) < 1e-9
+                for psi, dpsi in evolve(spec, states.all_zero_state(3), 60, target):
+                    assert abs(np.vdot(psi, dpsi).real) < 1e-9
 
     def test_per_bond_couplings_rejected_for_j_target(self):
         spec = ModelSpec.dimensionless(3, 1.0, [0.4, 0.5, 0.6])
         with pytest.raises(ValueError, match="uniform"):
-            list(evolve_with_derivative(spec, TARGET_J, states.all_zero_state(3), 5))
+            list(evolve(spec, states.all_zero_state(3), 5, TARGET_J))
 
 
 class TestQfiSeries:

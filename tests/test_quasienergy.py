@@ -9,14 +9,20 @@ from floquet_ising.model import CHAIN, ISING_THEN_FIELD, RING, STEP_ORDERS, Floq
 from floquet_ising.quasienergy import (
     QuasienergyAnalysis,
     _sector_blocks,
-    circle_distance,
     default_pair_tolerance,
     detect_pi_pairs,
     floquet_eigensystem,
     overlap_weight,
 )
 
-from conftest import detect_pi_pairs_dense, full_eig_eigensystem, overlap_weight_loop, random_state
+from conftest import (
+    circle_distance,
+    dense,
+    detect_pi_pairs_dense,
+    full_eig_eigensystem,
+    overlap_weight_loop,
+    random_state,
+)
 
 
 def sorted_from_cut(epsilons, reference):
@@ -55,7 +61,7 @@ class TestEigensystem:
     def test_residuals_at_pd_point(self, pd_spec):
         op = FloquetOperator(pd_spec)
         analysis = floquet_eigensystem(op)
-        u = op.dense()
+        u = dense(op)
         phases = np.exp(-1j * analysis.epsilons * analysis.period)
         residual = u @ analysis.eigenvectors - analysis.eigenvectors * phases[np.newaxis, :]
         assert np.linalg.norm(residual, axis=0).max() < 1e-9
@@ -135,7 +141,7 @@ class TestParityBlocks:
                 scale = np.sqrt(op.ising_phase[:half])
                 if step_order == ISING_THEN_FIELD:
                     scale = scale.conj()
-                u = op.dense()
+                u = dense(op)
                 for sign, block in zip((1.0, -1.0), _sector_blocks(op)):
                     sliced = u[:half, :half] + sign * u[:half, half:][:, ::-1]
                     sliced = scale.conj()[:, np.newaxis] * sliced * scale[np.newaxis, :]
@@ -153,7 +159,7 @@ class TestParityBlocks:
             d = np.sqrt(op.ising_phase)
             if step_order == ISING_THEN_FIELD:
                 d = d.conj()
-            s = d.conj()[:, np.newaxis] * op.dense() * d[np.newaxis, :]
+            s = d.conj()[:, np.newaxis] * dense(op) * d[np.newaxis, :]
             assert np.abs(s - s.T).max() <= 1e-14
 
     @pytest.mark.parametrize("h, j, resolves", [(0.0, 1.1, True), (1.1, 2.3, False), (2.6, 1.57, False)])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from floquet_ising import states
+from floquet_ising.dynamics import DiagonalObservable, expectation_records
 from floquet_ising.model import FloquetOperator, ModelSpec
 
 from conftest import random_state
@@ -30,8 +31,11 @@ class TestAllZeroState:
 class TestBasisConvention:
     def test_qubit_one_is_most_significant_bit(self):
         # |100> has qubit 1 flipped: index 4 for N=3
-        assert states.bit_position(1, 3) == 2
-        assert states.bit_position(3, 3) == 0
+        assert np.array_equal(states.z_values(3, 1), [1, 1, 1, 1, -1, -1, -1, -1])
+        assert np.array_equal(states.z_values(3, 3), [1, -1, 1, -1, 1, -1, 1, -1])
+        for qubit in (0, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                states.z_values(3, qubit)
 
     def test_z_values_roundtrip(self):
         # sign pattern of qubit 2 for N=3 follows bit 1 of the index
@@ -44,23 +48,31 @@ class TestBasisConvention:
 
 
 class TestExpectation:
+    """<psi|O|psi> of a diagonal observable, as expectation_records takes it at n = 0."""
+
+    def expectation(self, psi, diag):
+        n_qubits = len(diag).bit_length() - 1
+        op = FloquetOperator(ModelSpec.dimensionless(n_qubits, 1.0, 0.0, boundary="chain"))
+        return expectation_records(op, psi, 1, [DiagonalObservable("x", diag)])[0, 0, 0]
+
     def mz_diag(self, n):
         return (n - 2 * states.popcounts(n)).astype(float)
 
     def test_polarized(self):
-        assert states.expectation_diagonal(states.all_zero_state(3), self.mz_diag(3)) == 3.0
+        assert self.expectation(states.all_zero_state(3), self.mz_diag(3)) == 3.0
 
     def test_anti_polarized(self):
-        psi = states.basis_state(3, 7)
-        assert states.expectation_diagonal(psi, self.mz_diag(3)) == -3.0
+        psi = np.zeros(8, dtype=complex)
+        psi[7] = 1.0
+        assert self.expectation(psi, self.mz_diag(3)) == -3.0
 
     def test_uniform_superposition(self):
         psi = np.full(8, 1 / np.sqrt(8), dtype=complex)
-        assert states.expectation_diagonal(psi, self.mz_diag(3)) == pytest.approx(0.0, abs=1e-15)
+        assert self.expectation(psi, self.mz_diag(3)) == pytest.approx(0.0, abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            states.expectation_diagonal(states.all_zero_state(2), self.mz_diag(3))
+            self.expectation(states.all_zero_state(2), self.mz_diag(3))
 
     def test_matches_dense_matrix_oracle(self, rng):
         # <psi|O|psi> against an explicit matrix-vector product
@@ -69,31 +81,9 @@ class TestExpectation:
             dense = np.diag(diag)
             for _ in range(25):
                 psi = random_state(n, rng)
-                direct = states.expectation_diagonal(psi, diag)
+                direct = self.expectation(psi, diag)
                 oracle = np.vdot(psi, dense @ psi).real
                 assert direct == pytest.approx(oracle, abs=1e-12)
-
-
-class TestInnerProduct:
-    def test_self_overlap(self):
-        psi = states.all_zero_state(3)
-        assert states.inner_product(psi, psi) == 1.0
-
-    def test_orthogonal_basis_states(self):
-        assert states.inner_product(states.basis_state(2, 1), states.basis_state(2, 2)) == 0.0
-
-    def test_normalized_random(self, rng):
-        for _ in range(10):
-            psi = random_state(4, rng)
-            assert abs(states.inner_product(psi, psi) - 1.0) < 1e-12
-
-    def test_conjugate_linear_first_argument(self, rng):
-        a, b = random_state(3, rng), random_state(3, rng)
-        assert states.inner_product(2j * a, b) == pytest.approx(-2j * states.inner_product(a, b))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            states.inner_product(states.all_zero_state(2), states.all_zero_state(3))
 
 
 def test_norm_preserved_by_unitary_operations(rng):
@@ -102,4 +92,4 @@ def test_norm_preserved_by_unitary_operations(rng):
     psi = random_state(4, rng)
     for _ in range(50):
         psi = op.apply(psi)
-    assert abs(states.norm(psi) - 1.0) < 1e-10
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-10

@@ -31,8 +31,8 @@ class TestGridSpec:
         assert np.allclose(grid.j_values(), [1.0, 1.5, 2.0])
 
     def test_boundary_defaults(self):
-        assert GridSpec(n_qubits=3).resolved_boundary() == "ring"
-        assert GridSpec(n_qubits=5).resolved_boundary() == CHAIN
+        assert GridSpec(n_qubits=3).model_at(1.0, 1.0).boundary == RING
+        assert GridSpec(n_qubits=5).model_at(1.0, 1.0).boundary == CHAIN
 
     def test_count_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
