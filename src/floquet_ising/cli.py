@@ -304,8 +304,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, NumericalError) as exc:
-        module = type(exc).__module__
-        print(f"error [{module}]: {exc}", file=sys.stderr)
+        label = "numerical error" if isinstance(exc, NumericalError) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
         return 1
 
 

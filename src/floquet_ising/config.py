@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .model import BOUNDARIES, FIELD_THEN_ISING, STEP_ORDERS
 from .quasienergy import default_pair_tolerance
+from .states import MAX_QUBITS
 
 
 @dataclass
@@ -92,27 +93,30 @@ class RunConfig:
     output: OutputSection = field(default_factory=OutputSection)
 
     def validate(self) -> "RunConfig":
-        if self.model.boundary not in ("auto",) + BOUNDARIES:
-            raise ConfigError(f"model.boundary must be auto|ring|chain, got {self.model.boundary!r}")
-        if self.model.step_order not in STEP_ORDERS:
-            raise ConfigError(f"model.step_order must be one of {STEP_ORDERS}")
-        if self.output.format not in ("csv", "json"):
-            raise ConfigError(f"output.format must be csv or json, got {self.output.format!r}")
-        if self.analysis.pair_tolerance < 0:
-            raise ConfigError(
-                f"analysis.pair_tolerance must be positive, or 0 for the default, "
-                f"got {self.analysis.pair_tolerance}"
-            )
-        if not 0 < self.analysis.fit_window <= 1:
-            raise ConfigError(f"analysis.fit_window must lie in (0, 1], got {self.analysis.fit_window}")
-        if not 0 < self.analysis.pd_threshold < 1:
-            raise ConfigError(f"analysis.pd_threshold must lie in (0, 1), got {self.analysis.pd_threshold}")
-        if self.sweep.workers < 1:
-            raise ConfigError(f"sweep.workers must be at least 1, got {self.sweep.workers}")
         for section, values in self.to_dict().items():
             for key, value in values.items():
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ConfigError(f"{section}.{key} must be finite, got {value}")
+        m, a, s = self.model, self.analysis, self.sweep
+        for valid, problem in (
+            (m.boundary in ("auto",) + BOUNDARIES, f"model.boundary must be auto|ring|chain, got {m.boundary!r}"),
+            (m.step_order in STEP_ORDERS, f"model.step_order must be one of {STEP_ORDERS}"),
+            (1 <= m.n_qubits <= MAX_QUBITS, f"model.n_qubits must lie in 1..{MAX_QUBITS}, got {m.n_qubits}"),
+            (self.output.format in ("csv", "json"), f"output.format must be csv or json, got {self.output.format!r}"),
+            (a.pair_tolerance >= 0,
+             f"analysis.pair_tolerance must be positive, or 0 for the default, got {a.pair_tolerance}"),
+            (0 < a.fit_window <= 1, f"analysis.fit_window must lie in (0, 1], got {a.fit_window}"),
+            (0 < a.pd_threshold < 1, f"analysis.pd_threshold must lie in (0, 1), got {a.pd_threshold}"),
+            (a.spectrum_samples >= 4 and a.spectrum_samples % 2 == 0,
+             f"analysis.spectrum_samples must be even and >= 4, got {a.spectrum_samples}"),
+            (a.transient_discard >= 0, f"analysis.transient_discard must be >= 0, got {a.transient_discard}"),
+            (a.n_max >= 1, f"analysis.n_max must be >= 1, got {a.n_max}"),
+            (s.h_count >= 2, f"sweep.h_count must be at least 2, got {s.h_count}"),
+            (s.j_count >= 2, f"sweep.j_count must be at least 2, got {s.j_count}"),
+            (s.workers >= 1, f"sweep.workers must be at least 1, got {s.workers}"),
+        ):
+            if not valid:
+                raise ConfigError(problem)
         per_bond = self.per_bond_couplings()
         if per_bond is not None and not all(math.isfinite(j) for j in per_bond):
             raise ConfigError(f"model.couplings must be finite, got {self.model.couplings!r}")

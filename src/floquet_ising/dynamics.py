@@ -11,6 +11,7 @@ one-cell case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -78,27 +79,26 @@ def evolve(
     n_max: int,
     target: str | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """The evolution loop: yield (psi_n, dpsi_n) for n = 0..n_max.
+    """The evolution loop: an iterator of (psi_n, dpsi_n) for n = 0..n_max.
 
     Every cell of the operator starts from psi0, and psi_n holds one row
     per cell, shape (cells, dim). With a derivative target, dpsi_n is
     d psi_n / d theta by the product rule over periods,
     d psi_{n+1} = U d psi_n + (dU) psi_n with d psi_0 = 0; without one it
-    is None. Each period is one propagator call on the whole block.
+    is None. Each period is one propagator call on the whole block. The
+    arguments are checked here, before the first period and before any
+    caller allocates its records.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     op = as_operator(model)
-    op._require_dim(psi0)
-    psi = np.repeat(np.asarray(psi0, dtype=np.complex128)[np.newaxis], op.cells, axis=0)
-    dpsi = None if target is None else np.zeros_like(psi)
-    yield psi, dpsi
-    for _ in range(n_max):
-        if target is None:
-            psi = op.apply(psi)
-        else:
-            psi, dpsi = op.apply_with_derivative(target, psi, dpsi)
-        yield psi, dpsi
+    if len(psi0) != op.dim:
+        raise ValueError(f"dimension mismatch: state has {len(psi0)}, operator needs {op.dim}")
+    start = np.repeat(np.asarray(psi0, dtype=np.complex128)[np.newaxis], op.cells, axis=0)
+    if target is None:
+        psis = accumulate(range(n_max), lambda psi, _: op.apply(psi), initial=start)
+        return ((psi, None) for psi in psis)
+    return op.derivative_trajectory(target, start, np.zeros_like(start), n_max)
 
 
 def expectation_records(
@@ -118,8 +118,9 @@ def expectation_records(
             raise ValueError(f"observable {obs.label!r} has dimension {len(obs.diag)}, state has {op.dim}")
     # each diagonal repeated to match the interleaved (re, im) float view
     diags = np.repeat(np.array([obs.diag for obs in observables], dtype=float), 2, axis=-1)
+    steps = evolve(op, psi0, n_max)
     records = np.empty((op.cells, len(observables), n_max + 1))
-    for n, (psi, _) in enumerate(evolve(op, psi0, n_max)):
+    for n, (psi, _) in enumerate(steps):
         parts = psi.view(np.float64)
         records[:, :, n] = np.add.reduce((parts * parts)[:, np.newaxis] * diags, axis=-1)
     return records

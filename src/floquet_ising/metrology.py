@@ -79,11 +79,7 @@ def qfi_records(
     n_max: int,
 ) -> np.ndarray:
     """Exact-derivative QFI of every cell at n = 0..n_max, as a (cells, n_max + 1) array."""
-    op = as_operator(model)
-    values = np.empty((op.cells, n_max + 1))
-    for n, (psi, dpsi) in enumerate(evolve(op, psi0, n_max, target)):
-        values[:, n] = qfi_value(psi, dpsi)
-    return values
+    return np.stack([qfi_value(psi, dpsi) for psi, dpsi in evolve(model, psi0, n_max, target)], axis=-1)
 
 
 def qfi_series(
@@ -123,10 +119,11 @@ def cfi_series(
         )
     diag = np.asarray(observable.diag, dtype=float)
 
+    steps = evolve(op, psi0, n_max, target)
     expectations = np.empty(n_max + 1)
     second_moments = np.empty(n_max + 1)
     gradients = np.empty(n_max + 1)
-    for n, ((psi,), (dpsi,)) in enumerate(evolve(op, psi0, n_max, target)):
+    for n, ((psi,), (dpsi,)) in enumerate(steps):
         probs = psi.real**2 + psi.imag**2
         expectations[n] = probs @ diag
         second_moments[n] = probs @ (diag * diag)

@@ -2,26 +2,30 @@
 
 Each driving period of length T alternates two steps: a global x-field
 pulse, exp(-i h_x T1 sum_i sigma_x^i), and an Ising interaction step,
-exp(-i T2 sum_bonds J_b sigma_z^i sigma_z^j). Each step is a sum of
-commuting terms that is diagonal in its own basis: the field in the
-Hadamard basis, where sum_i sigma_x^i has eigenvalue N - 2 popcount(s),
-and the interaction in the Z basis. A period is therefore two diagonal
-phases, with one Walsh-Hadamard transform W into and out of the field
-basis; W is applied as two small +-1 Kronecker factors, so one period
-costs O(2^(3N/2)) and keeps exact zeros exact. The derivative of a step
-with respect to its parameter is the same phase times a diagonal
-generator.
+exp(-i T2 sum_bonds J_b sigma_z^i sigma_z^j). The field pulse is the
+N-fold Kronecker power of the one-qubit rotation exp(-i h_x T1 sigma_x),
+so on a state's amplitudes, read as a (2^(N//2), 2^(N - N//2)) grid, it is
+F_hi @ grid @ F_lo with F_hi and F_lo the powers on the top and bottom
+qubits. The interaction is a diagonal phase in the Z basis. A period is
+therefore two small matrix products and one phase, O(2^(3N/2)). The h_x
+derivative of the field step comes from the derivative factors
+G = dF/dh_x, and the J derivative of the Ising step is the same phase
+times a diagonal generator. The factors are built in extended precision
+and rounded to doubles so that F_hi (x) F_lo stays unitary to about one
+rounding, which keeps a state's norm from drifting over long runs.
 
 An operator may hold a block of cells, one ModelSpec each, that share N,
-boundary and protocol: only the two phases depend on the cell, so they
-are stored with a leading cell axis and one period advances every cell
-at once. One spec is the block of one cell.
+boundary and protocol: the field factors and the Ising phase are stored
+with a leading cell axis, and one period advances every cell at once. One
+spec is the block of one cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache, reduce
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -156,27 +160,73 @@ class ModelSpec:
         return np.asarray(self.couplings)
 
 
-def _hadamard(bits: int) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard matrix on `bits` qubits, entry (a, b) = (-1)^popcount(a & b)."""
-    index = np.arange(1 << bits)
-    both = index[:, np.newaxis] & index[np.newaxis, :]
-    parity = np.zeros_like(both)
-    for pos in range(bits):
-        parity ^= (both >> pos) & 1
-    return 1.0 - 2.0 * parity
+def _pair_blocks(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.ndarray:
+    """The block matrices [[diagonal, off_diagonal], [off_diagonal, diagonal]] of (cells, m, m) blocks."""
+    rows = (np.concatenate((diagonal, off_diagonal), axis=-1), np.concatenate((off_diagonal, diagonal), axis=-1))
+    return np.concatenate(rows, axis=-2)
+
+
+def _other_double(exact: np.ndarray, nearest: np.ndarray) -> np.ndarray:
+    """The double next to `nearest` on the side of `exact`; `nearest` itself where it is exact."""
+    return np.nextafter(nearest, np.where(nearest < exact, np.inf, np.where(nearest > exact, -np.inf, nearest)))
+
+
+@lru_cache
+def _krawtchouk(k: int) -> np.ndarray:
+    """K[w, d], the coefficient of z^d in (1 + z)^(k - w) (1 - z)^w."""
+    return np.array([reduce(np.convolve, [[1, 1]] * (k - w) + [[1, -1]] * w, [1]) for w in range(k + 1)])
+
+
+def _rounded_field_factors(angle: np.ndarray, factors: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """The extended-precision factors [F_hi, F_lo], given with their Hamming
+    distance tables, rounded to doubles so that F_hi (x) F_lo stays unitary.
+
+    A factor on k qubits and its rounding error depend on the distance d of
+    row and column only, so both are diagonal in the Hadamard basis: with w
+    minus signs, F's eigenvalue is lambda_w = exp(-i angle (k - 2w)) and the
+    error's is sum_d K[w, d] eps_d, eps_d the error of class d. Rounded to
+    the nearest double, the moduli miss 1 by up to a few ulps, the same way
+    every period, and a state's norm drifts. So each class goes to the
+    nearest double or to the other neighbour, as bit d of a choice says, and
+    each cell takes the pair of choices whose product eigenvalues have the
+    smallest largest modulus error, to first order.
+    """
+    steps, highs, lows = [], [], []
+    for factor, distance in factors:
+        k = int(distance[0, -1])
+        weights = np.arange(k + 1)
+        exact = factor[:, 0, (1 << weights) - 1]  # row 0 holds class d at column 2^d - 1
+        nearest = exact.astype(np.complex128)
+        other = _other_double(exact.real, nearest.real) + 1j * _other_double(exact.imag, nearest.imag)
+        errors = (np.stack((nearest, other)) - exact).astype(np.complex128)
+        # shares[r, cell, d, w]: class d's share of |lambda_w| - 1 under rounding r
+        conj_eigenvalues = np.exp(1j * (k - 2 * weights) * angle)
+        shares = (errors[..., np.newaxis] * _krawtchouk(k).T * conj_eigenvalues[:, np.newaxis]).real
+        # moduli[cell, w, i]: |lambda_w| - 1 under choice i
+        moduli = shares[0].sum(axis=1)[..., np.newaxis]
+        for d in weights:
+            moduli = np.concatenate((moduli, moduli + (shares[1] - shares[0])[:, d, :, np.newaxis]), axis=-1)
+        steps.append(other - nearest)
+        highs.append(moduli.max(axis=1))
+        lows.append(moduli.min(axis=1))
+    # worst[cell, i_hi, i_lo]: the largest |m_hi + m_lo| over the product's eigenvalues
+    worst = np.maximum(
+        highs[0][:, :, np.newaxis] + highs[1][:, np.newaxis], -(lows[0][:, :, np.newaxis] + lows[1][:, np.newaxis])
+    )
+    picks = np.unravel_index(np.argmin(worst.reshape(len(worst), -1), axis=1), worst.shape[1:])
+    rounded = []
+    for pick, step, (factor, distance) in zip(picks, steps, factors):
+        to_other = ((pick[:, np.newaxis] >> np.arange(step.shape[-1])) & 1).astype(bool)
+        rounded.append(factor.astype(np.complex128) + np.where(to_other, step, 0)[:, distance])
+    return rounded
 
 
 class FloquetOperator:
     """Exact stroboscopic propagator for one driving period, over a block of cells.
 
-    A cell is one ModelSpec. The cells of a block share n_qubits, boundary
-    and protocol, so they differ only in the two diagonal phases, which are
-    stored with a leading cell axis; the transform W and the derivative
-    generators are the same for every cell. One spec is the block of one
-    cell. The period is a table of steps in drive order, each a diagonal
-    phase in its own basis with the diagonal generator of its parameter
-    derivative. Immutable after construction; safe to share across sweep
-    workers.
+    A cell is one ModelSpec; the cells of a block share n_qubits, boundary
+    and protocol, and their field factors and Ising phases carry a leading
+    cell axis. Immutable after construction; safe to share across workers.
     """
 
     def __init__(self, specs: ModelSpec | Sequence[ModelSpec]):
@@ -192,14 +242,9 @@ class FloquetOperator:
         self.cells = len(self.specs)
         self.dim = 1 << n
 
-        # sum_i sigma_x^i in the Hadamard basis; the 1/2^N of the
-        # unnormalised transform rides on the field phase
-        x_sum = (n - 2 * states.popcounts(n)).astype(float)
-        # phases are (cells, 1, dim): one row per cell, broadcast over the
-        # rows of that cell's block
-        h_x = np.array([spec.h_x for spec in self.specs])[:, np.newaxis, np.newaxis]
-        # each cell's diagonal of sum_bonds J_b z_i z_j, and the unweighted
-        # sum (the J-derivative generator for uniform couplings)
+        # each cell's diagonal of sum_bonds J_b z_i z_j, as (cells, 1, dim)
+        # to broadcast over the rows of that cell's block, and the
+        # unweighted sum (the J-derivative generator for uniform couplings)
         couplings = np.array([spec.bond_values() for spec in self.specs])
         zz_weighted = np.zeros((self.cells, 1, self.dim))
         zz_plain = np.zeros(self.dim)
@@ -207,20 +252,37 @@ class FloquetOperator:
             pair = states.z_values(n, i) * states.z_values(n, j)
             zz_weighted += couplings[:, bond, np.newaxis, np.newaxis] * pair
             zz_plain += pair
-
         # Z-basis diagonal of the Ising step, exp(-i T2 sum_bonds J_b z_i z_j)
         self._ising_phases = np.exp(-1j * p.t2 * zz_weighted)
+        self._ising_generator = -1j * p.t2 * zz_plain
 
-        # (in Hadamard basis, phases, derivative generator, target)
-        field_phases = np.exp(-1j * h_x * p.t1 * x_sum) / self.dim
-        field = (True, field_phases, -1j * p.t1 * x_sum, TARGET_HX)
-        ising = (False, self._ising_phases, -1j * p.t2 * zz_plain, TARGET_J)
-        self._steps = (field, ising) if p.step_order == FIELD_THEN_ISING else (ising, field)
-        # W_hi acts from the left, on the float view of the states, at half
-        # the flops of a complex product; W_lo mixes the interleaved real
-        # and imaginary parts, so it is complex like the states
-        self._w_hi = _hadamard(n // 2)
-        self._w_lo = _hadamard(n - n // 2).astype(np.complex128)
+        # the field step is the N-fold Kronecker power of the one-qubit
+        # rotation R = exp(-i h_x T1 sigma_x) = [[c, -i s], [-i s, c]], with
+        # R (x) F = [[c F, -i s F], [-i s F, c F]], taken in extended
+        # precision. The same loop builds X = sum_i sigma_x^i, since
+        # X (x) 1 + 1 (x) sigma_x = [[X, 1], [1, X]], and the Hamming distance
+        # of each entry's row and column, on which the entry depends. The h_x
+        # derivative of the field step is G = -i T1 X F.
+        angle = np.array([spec.h_x for spec in self.specs], dtype=np.longdouble)[:, np.newaxis, np.newaxis] * p.t1
+        c, s = np.cos(angle), np.sin(angle)
+        powers = [(np.ones((self.cells, 1, 1), np.clongdouble), np.zeros((1, 1, 1)), np.zeros((1, 1), np.int8))]
+        for _ in range(n - n // 2):
+            f, x_sum, distance = powers[-1]
+            identity = np.eye(x_sum.shape[-1])[np.newaxis]
+            pairs = (c * f, -1j * s * f), (x_sum, identity), (distance, distance + 1)
+            powers.append(tuple(_pair_blocks(*pair) for pair in pairs))
+        # F_hi and G_hi act on the top N//2 qubits, F_lo and G_lo on the rest
+        (f_hi, x_hi, d_hi), (f_lo, x_lo, d_lo) = powers[n // 2], powers[-1]
+        f_hi, self._f_lo = _rounded_field_factors(angle[:, 0].astype(float), [(f_hi, d_hi), (f_lo, d_lo)])
+        g_hi, self._g_lo = -1j * p.t1 * (x_hi @ f_hi), -1j * p.t1 * (x_lo @ self._f_lo)
+        # on the h_x target a cell's rows (psi, dpsi), stacked as one grid,
+        # take the dual-number block [[F_hi, 0], [G_hi, F_hi]] in one product
+        hi = f_hi.shape[-1]
+        self._dual_hi = np.zeros((self.cells, 2 * hi, 2 * hi), dtype=np.complex128)
+        self._dual_hi[:, :hi, :hi] = self._dual_hi[:, hi:, hi:] = f_hi
+        self._dual_hi[:, hi:, :hi] = g_hi
+        self._f_hi = self._dual_hi[:, :hi, :hi]
+        self._field_first = p.step_order == FIELD_THEN_ISING
 
     def _require_one_cell(self) -> None:
         if self.cells != 1:
@@ -238,50 +300,46 @@ class FloquetOperator:
         self._require_one_cell()
         return self._ising_phases[0, 0]
 
-    def _require_dim(self, psi: np.ndarray) -> None:
-        if len(psi) != self.dim:
-            raise ValueError(f"dimension mismatch: state has {len(psi)}, operator needs {self.dim}")
+    def _field(self, block: np.ndarray, target: str | None) -> np.ndarray:
+        """The field step on every row: F_hi @ grid @ F_lo on the row's (2^(N//2), 2^(N - N//2)) grid.
 
-    def _cell_rows(self, psi: np.ndarray) -> np.ndarray:
-        """psi as (cells, 1, dim): one state per cell, or a single state for one cell."""
-        psi = np.asarray(psi)
-        if psi.shape != (self.cells, self.dim) and (self.cells, psi.shape) != (1, (self.dim,)):
-            raise ValueError(
-                f"dimension mismatch: states of shape {psi.shape}, operator needs ({self.cells}, {self.dim})"
-            )
-        return psi.reshape(self.cells, 1, self.dim)
-
-    def _transform(self, block: np.ndarray) -> np.ndarray:
-        """Unnormalised Hadamard transform W of every row.
-
-        Each row is a (2^(N//2), 2^(N - N//2)) grid, on which
-        W = W_hi (x) W_lo acts as W_hi @ grid @ W_lo. W_hi is applied to
-        each row and W_lo to each cell's rows, so no product is larger than
-        a one-cell operator's (a larger one may be split across BLAS
-        threads, which stalls pooled workers once threads outnumber cores)
-        and a row's result does not depend on the block.
+        The top factor multiplies each row and F_lo each cell's rows, so no
+        product is larger than a one-cell operator's (a larger one may be
+        split across BLAS threads, which stalls pooled workers once threads
+        outnumber cores) and a row's result does not depend on the block.
+        On the h_x target, row 1 gains G_hi grid_0 F_lo + F_hi grid_0 G_lo.
         """
-        grid = block.view(np.float64).reshape(-1, len(self._w_hi), 2 * len(self._w_lo))
-        left = (self._w_hi @ grid).view(np.complex128)
-        return (left.reshape(len(block), -1, len(self._w_lo)) @ self._w_lo).reshape(block.shape)
+        cells, rows, _ = block.shape
+        hi, lo = self._f_hi.shape[-1], self._f_lo.shape[-1]
+        if target == TARGET_HX:
+            left = self._dual_hi @ block.reshape(cells, 2 * hi, lo)
+        else:
+            left = self._f_hi[:, np.newaxis] @ block.reshape(cells, rows, hi, lo)
+        out = left.reshape(cells, rows * hi, lo) @ self._f_lo
+        if target == TARGET_HX:
+            out[:, hi:] += left[:, :hi] @ self._g_lo
+        return out.reshape(block.shape)
+
+    def _ising(self, block: np.ndarray, target: str | None) -> np.ndarray:
+        """The Ising step, a Z-basis phase; on the J target row 1 gains the generator times row 0."""
+        block = block * self._ising_phases
+        if target == TARGET_J:
+            block[:, 1] += self._ising_generator * block[:, 0]
+        return block
 
     def _period(self, block: np.ndarray, target: str | None = None) -> np.ndarray:
         """One period on every row of a (cells, k, dim) block.
 
-        Row k of cell c is evolved with cell c's phases. On the step that
-        carries `target`, row 1 also gains the derivative of that step
-        applied to row 0, so rows (psi, dpsi) come back as
-        (U psi, U dpsi + dU psi).
+        Row k of cell c is evolved with cell c's factors and phase. On the
+        step that carries `target`, row 1 also gains the derivative of that
+        step applied to row 0, so rows (psi, dpsi) come back as
+        (U psi, U dpsi + dU psi), exact for theta in {h_x, uniform J}: each
+        step Hamiltonian is linear in its parameter and commutes with its
+        derivative. Each step returns a new array, so the caller's block is
+        never written.
         """
-        # C order for the float view; the transform and the product return
-        # new arrays, so the caller's block is never written
-        block = np.ascontiguousarray(block, dtype=np.complex128)
-        for in_hadamard, phases, generator, step_target in self._steps:
-            block = (self._transform(block) if in_hadamard else block) * phases
-            if step_target == target:
-                block[:, 1] += generator * block[:, 0]
-            if in_hadamard:
-                block = self._transform(block)
+        for step in (self._field, self._ising) if self._field_first else (self._ising, self._field):
+            block = step(block, target)
         return block
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
@@ -290,24 +348,33 @@ class FloquetOperator:
         psi is a (cells, dim) array, or a single state for a one-cell
         operator; the result has the shape of psi.
         """
-        return self._period(self._cell_rows(psi))[:, 0].reshape(np.shape(psi))
+        psi = np.asarray(psi)
+        if psi.shape != (self.cells, self.dim) and (self.cells, psi.shape) != (1, (self.dim,)):
+            raise ValueError(
+                f"dimension mismatch: states of shape {psi.shape}, operator needs ({self.cells}, {self.dim})"
+            )
+        return self._period(psi.reshape(self.cells, 1, self.dim))[:, 0].reshape(psi.shape)
 
-    def apply_with_derivative(
-        self, target: str, psi: np.ndarray, dpsi: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(U_F psi, U_F dpsi + (dU_F / d theta) psi), exact for theta in {h_x, uniform J}.
+    def derivative_trajectory(
+        self, target: str, psi: np.ndarray, dpsi: np.ndarray, n_periods: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The pairs (psi_n, dpsi_n) for n = 0..n_periods, from (cells, dim) rows (psi, dpsi).
 
-        psi and dpsi are shaped as for apply. Each step Hamiltonian is
-        linear in its parameter and commutes with its own derivative, so no
-        step-size enters here.
+        Each period maps the pair to (U psi, U dpsi + (dU / d theta) psi),
+        theta = target. The arguments are checked once, here; the pair stays
+        one (cells, 2, dim) block, so a period pays for no checks or copies.
         """
-        block = np.concatenate((self._cell_rows(psi), self._cell_rows(dpsi)), axis=1)
         if target not in TARGETS:
             raise ValueError(f"derivative target must be one of {TARGETS}, got {target!r}")
         if target == TARGET_J and not all(spec.uniform for spec in self.specs):
             raise ValueError("J-derivative requires uniform couplings")
-        block = self._period(block, target)
-        return block[:, 0].reshape(np.shape(psi)), block[:, 1].reshape(np.shape(psi))
+        start = np.stack((psi, dpsi), axis=1).astype(np.complex128, copy=False)
+        if start.shape != (self.cells, 2, self.dim):
+            raise ValueError(
+                f"dimension mismatch: states of shape {np.shape(psi)}, operator needs ({self.cells}, {self.dim})"
+            )
+        blocks = accumulate(range(n_periods), lambda block, _: self._period(block, target), initial=start)
+        return ((block[:, 0], block[:, 1]) for block in blocks)
 
 
 def as_operator(model: ModelSpec | FloquetOperator) -> FloquetOperator:

@@ -15,8 +15,9 @@ Haake, Quantum Signatures of Chaos, ch. 4): D is diagonal and the field
 step F has a closed form in the Hamming distance of two basis states, so
 both half-size sector blocks of S are written down directly, and each is
 solved by one real symmetric eigh. The eigen-residual is then taken against
-the full U_F by running one period of the operator's step table on the
-eigenvectors, a construction independent of the closed-form blocks. In the
+the full U_F by running one period of the operator, whose field factors are
+Kronecker powers of the one-qubit rotation, on the eigenvectors: a
+construction independent of the closed-form blocks. In the
 period-doubled phase a pi-pair joins states of opposite parity (Khemani et
 al., PRL 116, 250401 (2016); Else, Bauer & Nayak, PRL 117, 090402 (2016)).
 """

@@ -45,6 +45,14 @@ def dense(op: FloquetOperator) -> np.ndarray:
     return op._period(np.eye(op.dim)[np.newaxis])[0].T
 
 
+def apply_with_derivative(op: FloquetOperator, target: str, psi: np.ndarray, dpsi: np.ndarray):
+    """(U_F psi, U_F dpsi + (dU_F / d theta) psi) from one period of the
+    stacked rows (psi, dpsi), shaped as for op.apply."""
+    rows = [np.reshape(x, (op.cells, op.dim)) for x in (psi, dpsi)]
+    _, (new_psi, new_dpsi) = op.derivative_trajectory(target, *rows, 1)
+    return new_psi.reshape(np.shape(psi)), new_dpsi.reshape(np.shape(psi))
+
+
 def shifted_spec(spec: ModelSpec, target: str, delta: float) -> ModelSpec:
     """spec with h_x or the uniform coupling J moved by delta."""
     if target == TARGET_HX:
@@ -94,6 +102,51 @@ def dense_by_kronecker(op: FloquetOperator) -> np.ndarray:
     if spec.protocol.step_order == FIELD_THEN_ISING:
         return matrix * ising[:, np.newaxis]
     return matrix * ising[np.newaxis, :]
+
+
+def hadamard_matrix(bits: int) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard matrix on `bits` qubits, entry (a, b) = (-1)^popcount(a & b)."""
+    index = np.arange(1 << bits)
+    both = index[:, np.newaxis] & index[np.newaxis, :]
+    parity = np.zeros_like(both)
+    for pos in range(bits):
+        parity ^= (both >> pos) & 1
+    return 1.0 - 2.0 * parity
+
+
+def walsh_hadamard_period(op: FloquetOperator, block: np.ndarray, target: str | None = None) -> np.ndarray:
+    """Reference period on a (cells, rows, dim) block: the field step as a
+    diagonal phase in the Hadamard basis, entered and left by the
+    unnormalised transform W = W_hi (x) W_lo, and the Ising step as a
+    Z-basis phase. On the step that carries target, row 1 gains the step's
+    diagonal generator times row 0."""
+    first = op.specs[0]
+    n, p = first.n_qubits, first.protocol
+    x_sum = (n - 2 * states.popcounts(n)).astype(float)
+    h_x = np.array([spec.h_x for spec in op.specs])[:, np.newaxis, np.newaxis]
+    zz_weighted = np.zeros((op.cells, 1, op.dim))
+    zz_plain = np.zeros(op.dim)
+    for bond, (i, j) in enumerate(first.bonds()):
+        pair = states.z_values(n, i) * states.z_values(n, j)
+        zz_weighted += np.array([spec.bond_values()[bond] for spec in op.specs])[:, np.newaxis, np.newaxis] * pair
+        zz_plain += pair
+    w_hi, w_lo = hadamard_matrix(n // 2), hadamard_matrix(n - n // 2)
+
+    def transform(rows):
+        grid = rows.reshape(len(rows), -1, len(w_hi), len(w_lo))
+        return (w_hi @ grid @ w_lo).reshape(rows.shape)
+
+    field = (True, np.exp(-1j * h_x * p.t1 * x_sum) / op.dim, -1j * p.t1 * x_sum, TARGET_HX)
+    ising = (False, np.exp(-1j * p.t2 * zz_weighted), -1j * p.t2 * zz_plain, TARGET_J)
+    block = np.array(block, dtype=np.complex128)
+    steps = (field, ising) if p.step_order == FIELD_THEN_ISING else (ising, field)
+    for in_hadamard, phases, generator, step_target in steps:
+        block = (transform(block) if in_hadamard else block) * phases
+        if step_target == target:
+            block[:, 1] += generator * block[:, 0]
+        if in_hadamard:
+            block = transform(block)
+    return block
 
 
 def cfi_finite_difference(spec, target, observable, psi0, n_max, delta=1e-5) -> np.ndarray:

@@ -230,6 +230,27 @@ class TestCommands:
         assert "n_max must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "evolve").exists()
 
+    def test_negative_periods_are_rejected_before_any_work(self, tmp_path, capsys):
+        code = main(["evolve", "--periods", "-2", "-o", str(tmp_path / "evolve")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "n_max must be >= 1" in err
+        assert "[builtins]" not in err
+        assert not (tmp_path / "evolve").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["sweep", "--h-count", "1"], "sweep.h_count must be at least 2"),
+        (["spectrum", "--samples", "3"], "analysis.spectrum_samples must be even and >= 4"),
+        (["spectrum", "--discard", "-1"], "analysis.transient_discard must be >= 0"),
+        (["qfi", "--theta", "j", "--n-max", "0"], "analysis.n_max must be >= 1"),
+        (["quasi", "-N", "13"], "model.n_qubits must lie in 1..12"),
+    ], ids=["h-count", "samples", "discard", "n-max", "n-qubits"])
+    def test_out_of_range_inputs_are_usage_errors(self, tmp_path, capsys, args, message):
+        code = main(args + ["-o", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_fit_window_out_of_range_is_usage_error(self, tmp_path, capsys):
         for command, window in (("cfi", "0"), ("qfi", "1.5")):
             code = main([command, "--theta", "hx", "--fit-window", window, "-o", str(tmp_path / command)])

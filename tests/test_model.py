@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from floquet_ising import states
+from floquet_ising.dynamics import evolve
 from floquet_ising.model import (
     CHAIN,
     FIELD_THEN_ISING,
@@ -16,7 +17,15 @@ from floquet_ising.model import (
     default_boundary,
 )
 
-from conftest import dense, dense_by_kronecker, random_state, shifted_spec
+from conftest import (
+    apply_with_derivative,
+    dense,
+    dense_by_kronecker,
+    hadamard_matrix,
+    random_state,
+    shifted_spec,
+    walsh_hadamard_period,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -127,11 +136,11 @@ class TestBlockOperator:
         psi = np.array([random_state(n, rng) for _ in specs])
         dpsi = np.array([random_state(n, rng) for _ in specs])
         evolved = block.apply(psi)
-        moved, derivative = block.apply_with_derivative(TARGET_HX, psi, dpsi)
+        moved, derivative = apply_with_derivative(block, TARGET_HX, psi, dpsi)
         for c, spec in enumerate(specs):
             single = FloquetOperator(spec)
             assert np.abs(evolved[c] - single.apply(psi[c])).max() <= 1e-15
-            one_psi, one_dpsi = single.apply_with_derivative(TARGET_HX, psi[c], dpsi[c])
+            one_psi, one_dpsi = apply_with_derivative(single, TARGET_HX, psi[c], dpsi[c])
             assert np.abs(moved[c] - one_psi).max() <= 1e-15
             assert np.abs(derivative[c] - one_dpsi).max() <= 1e-15
 
@@ -139,9 +148,9 @@ class TestBlockOperator:
         specs = [ModelSpec.dimensionless(4, h, j) for h, j in ((0.4, 2.0), (2.6, 1.57), (1.0, 0.0))]
         psi = np.array([random_state(4, rng) for _ in specs])
         dpsi = np.array([random_state(4, rng) for _ in specs])
-        moved, derivative = FloquetOperator(specs).apply_with_derivative(TARGET_J, psi, dpsi)
+        moved, derivative = apply_with_derivative(FloquetOperator(specs), TARGET_J, psi, dpsi)
         for c, spec in enumerate(specs):
-            one_psi, one_dpsi = FloquetOperator(spec).apply_with_derivative(TARGET_J, psi[c], dpsi[c])
+            one_psi, one_dpsi = apply_with_derivative(FloquetOperator(spec), TARGET_J, psi[c], dpsi[c])
             assert np.abs(moved[c] - one_psi).max() <= 1e-15
             assert np.abs(derivative[c] - one_dpsi).max() <= 1e-15
 
@@ -261,9 +270,61 @@ class TestDenseUnitary:
                 assert np.abs(dense(op) - dense_by_kronecker(op)).max() <= 1e-15
 
 
+class TestFactoredPeriod:
+    """The factored period (Kronecker field factors on each row's grid) against
+    the Walsh-Hadamard period kept in conftest as an oracle."""
+
+    # agreement within TOL relative to the largest entry of the oracle's
+    # block; the two periods round differently, at about 1e-15
+    TOL = 1e-13
+
+    @pytest.mark.parametrize("order", [FIELD_THEN_ISING, ISING_THEN_FIELD])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_walsh_hadamard_period(self, rng, n, order):
+        for boundary in [CHAIN] + ([RING] if n >= 3 else []):
+            n_bonds = len(ModelSpec.dimensionless(n, 0.0, 0.0, boundary=boundary).bonds())
+            for per_bond in (False, True):
+                if per_bond and n_bonds == 0:
+                    continue
+                def couplings():
+                    if per_bond:
+                        return rng.uniform(0, np.pi, size=n_bonds)
+                    return rng.uniform(0, np.pi) if n > 1 else 0.0
+
+                specs = [
+                    ModelSpec.dimensionless(
+                        n, rng.uniform(0, np.pi), couplings(), boundary=boundary, step_order=order
+                    )
+                    for _ in range(2)
+                ]
+                op = FloquetOperator(specs)
+                block = rng.normal(size=(2, 2, op.dim)) + 1j * rng.normal(size=(2, 2, op.dim))
+                targets = [None, TARGET_HX] + ([] if per_bond else [TARGET_J])
+                for target in targets:
+                    rows = block if target else block[:, :1]
+                    expected = walsh_hadamard_period(op, rows, target)
+                    error = np.abs(op._period(rows, target) - expected).max()
+                    assert error <= self.TOL * np.abs(expected).max(), (boundary, per_bond, target, error)
+
+    def test_field_factors_stay_unitary(self, rng):
+        # the eigenvalues of F_hi (x) F_lo, the field step in the Hadamard
+        # basis, lie within 2e-16 of the unit circle; rounding each entry to
+        # the nearest double instead leaves up to 6e-16 at N = 12, and a
+        # state's norm accumulates that error every period
+        for n in range(1, 13):
+            op = FloquetOperator([ModelSpec.dimensionless(n, h, 0.0) for h in rng.uniform(0, 2 * np.pi, 20)])
+            moduli = []
+            for factor in (op._f_hi, op._f_lo):
+                w = hadamard_matrix(factor.shape[-1].bit_length() - 1).astype(np.longdouble)
+                eigenvalues = np.einsum("ij,cjk,ki->ci", w, factor.astype(np.clongdouble), w) / len(w)
+                moduli.append(np.abs(eigenvalues) - 1)
+            error = np.abs(moduli[0][:, :, np.newaxis] + moduli[1][:, np.newaxis, :]).max()
+            assert error <= 2e-16, (n, error)
+
+
 def derivative(op: FloquetOperator, target: str, psi: np.ndarray) -> np.ndarray:
     """(dU_F / d theta)|psi>, the derivative row of a stacked pass with dpsi = 0."""
-    return op.apply_with_derivative(target, psi, np.zeros_like(psi))[1]
+    return apply_with_derivative(op, target, psi, np.zeros_like(psi))[1]
 
 
 class TestDerivative:
@@ -273,17 +334,18 @@ class TestDerivative:
         # (psi, dpsi) -> (U psi, U dpsi + dU psi)
         op = FloquetOperator(ModelSpec.dimensionless(4, 1.3, 0.7, step_order=order))
         psi, dpsi = random_state(4, rng), random_state(4, rng)
-        new_psi, new_dpsi = op.apply_with_derivative(target, psi, dpsi)
+        new_psi, new_dpsi = apply_with_derivative(op, target, psi, dpsi)
         assert np.abs(new_psi - op.apply(psi)).max() <= 1e-15
         assert np.abs(new_dpsi - op.apply(dpsi) - derivative(op, target, psi)).max() <= 1e-15
 
     def test_target_and_dimension_validation(self, pd_spec):
+        # the evolution loop checks its arguments when called, before any period
         op = FloquetOperator(pd_spec)
         psi = states.all_zero_state(3)
         with pytest.raises(ValueError, match="target"):
-            op.apply_with_derivative("bogus", psi, psi)
+            evolve(op, psi, 1, "bogus")
         with pytest.raises(ValueError, match="dimension mismatch"):
-            op.apply_with_derivative(TARGET_HX, psi, states.all_zero_state(2))
+            evolve(op, states.all_zero_state(2), 1, TARGET_HX)
 
     def test_diagonal_closed_form_for_coupling(self):
         # h_x = 0, ring: (dU/dJ)|000> = -i 3 T2 e^{-i 3 J T2}|000>

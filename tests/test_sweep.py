@@ -159,7 +159,7 @@ class TestDeterminismAndIsolation:
         parallel = sweep_diagnostic(toy_grid, "weight", SweepSettings(workers=2))
         assert np.array_equal(serial.values, parallel.values)
 
-    @pytest.mark.parametrize("diagnostic", ["weight", KAPPA_J])
+    @pytest.mark.parametrize("diagnostic", ["weight", KAPPA_HX, KAPPA_J])
     def test_block_size_independent(self, monkeypatch, diagnostic):
         # block sizes 1, 7 and the whole grid, on 1 and 2 workers
         grid = GridSpec(h_range=(0.0, np.pi, 9), j_range=(0.0, np.pi, 5))
