@@ -2,16 +2,16 @@
 
 Trajectories record expectation values at t = nT for n = 0..n_max, with
 the state advanced by repeated application of the one-period propagator
-(never by matrix powers). One loop, evolve, serves every caller: it
-advances a block of cells together, one row per cell, so a grid block
-costs one propagator call per period. The per-spec functions are its
+(never by matrix powers). One loop, the operator's frame_trajectory,
+serves every caller: it advances a block of cells together, one row per
+cell, so a grid block costs one propagator call per period. evolve takes
+its states out of the operator's frame; the per-spec functions are the
 one-cell case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -79,26 +79,22 @@ def evolve(
     n_max: int,
     target: str | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """The evolution loop: an iterator of (psi_n, dpsi_n) for n = 0..n_max.
+    """The pairs (psi_n, dpsi_n) for n = 0..n_max, the operator's frame_trajectory taken out of the frame.
 
     Every cell of the operator starts from psi0, and psi_n holds one row
     per cell, shape (cells, dim). With a derivative target, dpsi_n is
-    d psi_n / d theta by the product rule over periods,
-    d psi_{n+1} = U d psi_n + (dU) psi_n with d psi_0 = 0; without one it
-    is None. Each period is one propagator call on the whole block. The
-    arguments are checked here, before the first period and before any
-    caller allocates its records.
+    d psi_n / d theta; without one it is None. expectation_records,
+    metrology.qfi_records and metrology.cfi_series read the frame states
+    chi_n = L^-1 psi_n as they come instead: L = diag((-i)^popcount)
+    does not depend on h_x or J, so every Z-basis probability, <psi|dpsi>
+    and Re <dpsi|X|psi> for a diagonal X takes the same value on them.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
     op = as_operator(model)
-    if len(psi0) != op.dim:
-        raise ValueError(f"dimension mismatch: state has {len(psi0)}, operator needs {op.dim}")
-    start = np.repeat(np.asarray(psi0, dtype=np.complex128)[np.newaxis], op.cells, axis=0)
+    phase = op.frame_phase
+    blocks = op.frame_trajectory(psi0, n_max, target)
     if target is None:
-        psis = accumulate(range(n_max), lambda psi, _: op.apply(psi), initial=start)
-        return ((psi, None) for psi in psis)
-    return op.derivative_trajectory(target, start, np.zeros_like(start), n_max)
+        return ((block[:, 0] * phase, None) for block in blocks)
+    return ((block[:, 0] * phase, block[:, 1] * phase) for block in blocks)
 
 
 def expectation_records(
@@ -109,20 +105,19 @@ def expectation_records(
 ) -> np.ndarray:
     """<X_k> at t = nT for every cell, as a (cells, observables, n_max + 1) array.
 
-    All observables of all cells are taken in one product per period; each
-    value is a row sum, so a cell's record does not depend on the block.
+    Each period takes |chi|^2 once per row and reduces every observable
+    over it with einsum's own loop, not BLAS: each value is a row sum, so a
+    cell's record does not depend on the block.
     """
     op = as_operator(model)
     for obs in observables:
         if len(obs.diag) != op.dim:
             raise ValueError(f"observable {obs.label!r} has dimension {len(obs.diag)}, state has {op.dim}")
-    # each diagonal repeated to match the interleaved (re, im) float view
-    diags = np.repeat(np.array([obs.diag for obs in observables], dtype=float), 2, axis=-1)
-    steps = evolve(op, psi0, n_max)
+    diags = np.array([obs.diag for obs in observables], dtype=float)
+    steps = op.frame_trajectory(psi0, n_max)
     records = np.empty((op.cells, len(observables), n_max + 1))
-    for n, (psi, _) in enumerate(steps):
-        parts = psi.view(np.float64)
-        records[:, :, n] = np.add.reduce((parts * parts)[:, np.newaxis] * diags, axis=-1)
+    for n, block in enumerate(steps):
+        records[:, :, n] = np.einsum("cj,kj->ck", (block.conj() * block).real[:, 0], diags)
     return records
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DiagonalObservable, evolve
+from .dynamics import DiagonalObservable
 from .model import FloquetOperator, ModelSpec, as_operator
 
 QFI = "qfi"
@@ -78,8 +78,9 @@ def qfi_records(
     psi0: np.ndarray,
     n_max: int,
 ) -> np.ndarray:
-    """Exact-derivative QFI of every cell at n = 0..n_max, as a (cells, n_max + 1) array."""
-    return np.stack([qfi_value(psi, dpsi) for psi, dpsi in evolve(model, psi0, n_max, target)], axis=-1)
+    """Exact-derivative QFI of every cell at n = 0..n_max, as a (cells, n_max + 1) array, read on frame states."""
+    blocks = as_operator(model).frame_trajectory(psi0, n_max, target)
+    return np.stack([qfi_value(block[:, 0], block[:, 1]) for block in blocks], axis=-1)
 
 
 def qfi_series(
@@ -118,16 +119,17 @@ def cfi_series(
             f"observable {observable.label!r} has dimension {len(observable.diag)}, state has {op.dim}"
         )
     diag = np.asarray(observable.diag, dtype=float)
+    square = diag * diag
 
-    steps = evolve(op, psi0, n_max, target)
+    steps = op.frame_trajectory(psi0, n_max, target)
     expectations = np.empty(n_max + 1)
     second_moments = np.empty(n_max + 1)
     gradients = np.empty(n_max + 1)
-    for n, ((psi,), (dpsi,)) in enumerate(steps):
-        probs = psi.real**2 + psi.imag**2
+    for n, ((chi, dchi),) in enumerate(steps):
+        probs = (chi.conj() * chi).real
         expectations[n] = probs @ diag
-        second_moments[n] = probs @ (diag * diag)
-        gradients[n] = 2.0 * np.vdot(dpsi, diag * psi).real
+        second_moments[n] = probs @ square
+        gradients[n] = 2.0 * np.vdot(dchi, diag * chi).real
 
     variances = second_moments - expectations**2
     values = np.full(n_max + 1, np.nan)

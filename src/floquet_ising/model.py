@@ -5,14 +5,24 @@ pulse, exp(-i h_x T1 sum_i sigma_x^i), and an Ising interaction step,
 exp(-i T2 sum_bonds J_b sigma_z^i sigma_z^j). The field pulse is the
 N-fold Kronecker power of the one-qubit rotation exp(-i h_x T1 sigma_x),
 so on a state's amplitudes, read as a (2^(N//2), 2^(N - N//2)) grid, it is
-F_hi @ grid @ F_lo with F_hi and F_lo the powers on the top and bottom
+F_hi @ grid @ F_lo^T with F_hi and F_lo the powers on the top and bottom
 qubits. The interaction is a diagonal phase in the Z basis. A period is
-therefore two small matrix products and one phase, O(2^(3N/2)). The h_x
-derivative of the field step comes from the derivative factors
-G = dF/dh_x, and the J derivative of the Ising step is the same phase
-times a diagonal generator. The factors are built in extended precision
-and rounded to doubles so that F_hi (x) F_lo stays unitary to about one
-rounding, which keeps a state's norm from drifting over long runs.
+therefore two small matrix products and one phase, O(2^(3N/2)).
+
+The recurrence runs in the frame chi = L^-1 psi, L = diag((-i)^popcount),
+the phase gate diag(1, i) on every qubit undone. There the field pulse is
+the real rotation exp(-i h_x T1 sum_i sigma_y^i), so its factors O_hi and
+O_lo are real and the left product is a real one, and the h_x derivative
+of the step is the real generator T1 sum_i (-i sigma_y^i) applied to its
+output. L commutes with the Ising phase and with every Z-basis
+observable and does not depend on h_x or J, so probabilities, the QFI and
+the CFI of a diagonal observable read the same on frame states; apply and
+dynamics.evolve take states back out of the frame. The J derivative of
+the Ising step is the same phase times a diagonal generator. The factors
+are built in extended precision and rounded to doubles so that
+F_hi (x) F_lo stays unitary to about one rounding, which keeps a state's
+norm from drifting over long runs; the real factors are those rounded
+factors times the exact phases +-1 and +-i.
 
 An operator may hold a block of cells, one ModelSpec each, that share N,
 boundary and protocol: the field factors and the Ising phase are stored
@@ -226,7 +236,12 @@ class FloquetOperator:
 
     A cell is one ModelSpec; the cells of a block share n_qubits, boundary
     and protocol, and their field factors and Ising phases carry a leading
-    cell axis. Immutable after construction; safe to share across workers.
+    cell axis. The factors are stored in the frame chi = L^-1 psi, where
+    they are real: frame_phase is the diagonal of L, (-i)^popcount, and
+    frame_trajectory yields frame states. L is a Z-basis phase independent
+    of h_x and J, so no Z-basis probability, QFI or CFI can see it; apply
+    and _period enter and leave the frame, so they act as U_F itself.
+    Immutable after construction; safe to share across workers.
     """
 
     def __init__(self, specs: ModelSpec | Sequence[ModelSpec]):
@@ -261,8 +276,7 @@ class FloquetOperator:
         # R (x) F = [[c F, -i s F], [-i s F, c F]], taken in extended
         # precision. The same loop builds X = sum_i sigma_x^i, since
         # X (x) 1 + 1 (x) sigma_x = [[X, 1], [1, X]], and the Hamming distance
-        # of each entry's row and column, on which the entry depends. The h_x
-        # derivative of the field step is G = -i T1 X F.
+        # of each entry's row and column, on which the entry depends.
         angle = np.array([spec.h_x for spec in self.specs], dtype=np.longdouble)[:, np.newaxis, np.newaxis] * p.t1
         c, s = np.cos(angle), np.sin(angle)
         powers = [(np.ones((self.cells, 1, 1), np.clongdouble), np.zeros((1, 1, 1)), np.zeros((1, 1), np.int8))]
@@ -271,17 +285,28 @@ class FloquetOperator:
             identity = np.eye(x_sum.shape[-1])[np.newaxis]
             pairs = (c * f, -1j * s * f), (x_sum, identity), (distance, distance + 1)
             powers.append(tuple(_pair_blocks(*pair) for pair in pairs))
-        # F_hi and G_hi act on the top N//2 qubits, F_lo and G_lo on the rest
+        # F_hi acts on the top N//2 qubits, F_lo on the rest
         (f_hi, x_hi, d_hi), (f_lo, x_lo, d_lo) = powers[n // 2], powers[-1]
-        f_hi, self._f_lo = _rounded_field_factors(angle[:, 0].astype(float), [(f_hi, d_hi), (f_lo, d_lo)])
-        g_hi, self._g_lo = -1j * p.t1 * (x_hi @ f_hi), -1j * p.t1 * (x_lo @ self._f_lo)
-        # on the h_x target a cell's rows (psi, dpsi), stacked as one grid,
-        # take the dual-number block [[F_hi, 0], [G_hi, F_hi]] in one product
-        hi = f_hi.shape[-1]
-        self._dual_hi = np.zeros((self.cells, 2 * hi, 2 * hi), dtype=np.complex128)
-        self._dual_hi[:, :hi, :hi] = self._dual_hi[:, hi:, hi:] = f_hi
-        self._dual_hi[:, hi:, :hi] = g_hi
-        self._f_hi = self._dual_hi[:, :hi, :hi]
+        f_hi, f_lo = _rounded_field_factors(angle[:, 0].astype(float), [(f_hi, d_hi), (f_lo, d_lo)])
+        # in the frame chi = L^-1 psi, L = diag((-i)^popcount), the factors
+        # are real, L^-1 F L = exp(-i h_x T1 sum_i sigma_y^i), and so is the
+        # h_x generator, -i T1 L^-1 X L = T1 sum_i (-i sigma_y^i). L's entries
+        # are +-1 and +-i, so each real factor is the rounded F times exact
+        # phases and the imaginary parts dropped are exact zeros. A (x) B
+        # acts on a grid as A @ grid @ B^T; the right factors multiply
+        # complex grids, so they are stored transposed and as complex, which
+        # spares a cast per product.
+        self.frame_phase = np.array([1, -1j, -1, 1j])[states.popcounts(n) % 4]
+        lo = f_lo.shape[-1]
+        phase_hi, phase_lo = self.frame_phase[::lo], self.frame_phase[:lo]
+
+        def in_frame(matrix: np.ndarray, phase: np.ndarray) -> np.ndarray:
+            return (phase.conj()[:, np.newaxis] * matrix * phase).real
+
+        self._o_hi = in_frame(f_hi, phase_hi)
+        self._o_lo_t = in_frame(f_lo, phase_lo).transpose(0, 2, 1).astype(np.complex128)
+        self._y_hi = in_frame(-1j * p.t1 * x_hi[0], phase_hi)
+        self._y_lo_t = in_frame(-1j * p.t1 * x_lo[0], phase_lo).T.astype(np.complex128)
         self._field_first = p.step_order == FIELD_THEN_ISING
 
     def _require_one_cell(self) -> None:
@@ -300,24 +325,33 @@ class FloquetOperator:
         self._require_one_cell()
         return self._ising_phases[0, 0]
 
-    def _field(self, block: np.ndarray, target: str | None) -> np.ndarray:
-        """The field step on every row: F_hi @ grid @ F_lo on the row's (2^(N//2), 2^(N - N//2)) grid.
+    def _require_target(self, target: str | None) -> None:
+        if target is not None and target not in TARGETS:
+            raise ValueError(f"derivative target must be one of {TARGETS}, got {target!r}")
+        if target == TARGET_J and not all(spec.uniform for spec in self.specs):
+            raise ValueError("J-derivative requires uniform couplings")
 
-        The top factor multiplies each row and F_lo each cell's rows, so no
+    def _field(self, block: np.ndarray, target: str | None) -> np.ndarray:
+        """The field step in the frame on every row: O_hi @ grid @ O_lo^T on the row's (2^(N//2), 2^(N - N//2)) grid.
+
+        O_hi is real, so the left product is one real product on the float
+        view of each row's grid, half the flops of a complex one. The top
+        factor multiplies each row and O_lo^T each cell's rows, so no
         product is larger than a one-cell operator's (a larger one may be
         split across BLAS threads, which stalls pooled workers once threads
         outnumber cores) and a row's result does not depend on the block.
-        On the h_x target, row 1 gains G_hi grid_0 F_lo + F_hi grid_0 G_lo.
+        On the h_x target, row 1 gains the real generator applied to row 0's
+        result f0, Y_hi @ f0 + f0 @ Y_lo^T: the generator commutes with the
+        step.
         """
         cells, rows, _ = block.shape
-        hi, lo = self._f_hi.shape[-1], self._f_lo.shape[-1]
+        hi, lo = self._o_hi.shape[-1], self._o_lo_t.shape[-1]
+        left = self._o_hi[:, np.newaxis] @ block.view(np.float64).reshape(cells, rows, hi, 2 * lo)
+        out = (left.view(np.complex128).reshape(cells, rows * hi, lo) @ self._o_lo_t).reshape(cells, rows, hi, lo)
         if target == TARGET_HX:
-            left = self._dual_hi @ block.reshape(cells, 2 * hi, lo)
-        else:
-            left = self._f_hi[:, np.newaxis] @ block.reshape(cells, rows, hi, lo)
-        out = left.reshape(cells, rows * hi, lo) @ self._f_lo
-        if target == TARGET_HX:
-            out[:, hi:] += left[:, :hi] @ self._g_lo
+            f0 = out[:, 0]
+            out[:, 1] += (self._y_hi @ f0.view(np.float64)).view(np.complex128)
+            out[:, 1] += f0 @ self._y_lo_t
         return out.reshape(block.shape)
 
     def _ising(self, block: np.ndarray, target: str | None) -> np.ndarray:
@@ -327,20 +361,24 @@ class FloquetOperator:
             block[:, 1] += self._ising_generator * block[:, 0]
         return block
 
-    def _period(self, block: np.ndarray, target: str | None = None) -> np.ndarray:
-        """One period on every row of a (cells, k, dim) block.
+    def _frame_period(self, block: np.ndarray, target: str | None = None) -> np.ndarray:
+        """One period in the frame chi = L^-1 psi on every row of a (cells, k, dim) block.
 
         Row k of cell c is evolved with cell c's factors and phase. On the
         step that carries `target`, row 1 also gains the derivative of that
-        step applied to row 0, so rows (psi, dpsi) come back as
-        (U psi, U dpsi + dU psi), exact for theta in {h_x, uniform J}: each
-        step Hamiltonian is linear in its parameter and commutes with its
-        derivative. Each step returns a new array, so the caller's block is
-        never written.
+        step applied to row 0, so rows (chi, dchi) come back as
+        (U' chi, U' dchi + dU' chi), U' = L^-1 U_F L, exact for theta in
+        {h_x, uniform J}: each step Hamiltonian is linear in its parameter
+        and commutes with its derivative. Each step returns a new array, so
+        the caller's block is never written.
         """
         for step in (self._field, self._ising) if self._field_first else (self._ising, self._field):
             block = step(block, target)
         return block
+
+    def _period(self, block: np.ndarray, target: str | None = None) -> np.ndarray:
+        """One period of U_F itself on every row of a (cells, k, dim) block, through the frame and back."""
+        return self._frame_period(block * self.frame_phase.conj(), target) * self.frame_phase
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """One period of evolution, U_F |psi>, for each cell's row of psi.
@@ -355,26 +393,26 @@ class FloquetOperator:
             )
         return self._period(psi.reshape(self.cells, 1, self.dim))[:, 0].reshape(psi.shape)
 
-    def derivative_trajectory(
-        self, target: str, psi: np.ndarray, dpsi: np.ndarray, n_periods: int
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The pairs (psi_n, dpsi_n) for n = 0..n_periods, from (cells, dim) rows (psi, dpsi).
+    def frame_trajectory(self, psi0: np.ndarray, n_max: int, target: str | None = None) -> Iterator[np.ndarray]:
+        """The evolution loop in the frame: blocks L^-1 psi_n, or L^-1 (psi_n, dpsi_n) with a target, n = 0..n_max.
 
-        Each period maps the pair to (U psi, U dpsi + (dU / d theta) psi),
-        theta = target. The arguments are checked once, here; the pair stays
-        one (cells, 2, dim) block, so a period pays for no checks or copies.
+        Every cell starts from the state psi0, with dpsi_0 = 0; each block is
+        (cells, rows, dim), one row without a target and two with one, and
+        each period is one _frame_period call on the whole block. With a
+        target theta, dpsi_n = d psi_n / d theta by the product rule over
+        periods, d psi_{n+1} = U d psi_n + (dU / d theta) psi_n. The frame
+        is entered once, here, and the arguments are checked here, when
+        called, before any caller allocates its records; a period pays for
+        no checks or copies.
         """
-        if target not in TARGETS:
-            raise ValueError(f"derivative target must be one of {TARGETS}, got {target!r}")
-        if target == TARGET_J and not all(spec.uniform for spec in self.specs):
-            raise ValueError("J-derivative requires uniform couplings")
-        start = np.stack((psi, dpsi), axis=1).astype(np.complex128, copy=False)
-        if start.shape != (self.cells, 2, self.dim):
-            raise ValueError(
-                f"dimension mismatch: states of shape {np.shape(psi)}, operator needs ({self.cells}, {self.dim})"
-            )
-        blocks = accumulate(range(n_periods), lambda block, _: self._period(block, target), initial=start)
-        return ((block[:, 0], block[:, 1]) for block in blocks)
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        self._require_target(target)
+        if len(psi0) != self.dim:
+            raise ValueError(f"dimension mismatch: state has {len(psi0)}, operator needs {self.dim}")
+        start = np.zeros((self.cells, 1 if target is None else 2, self.dim), dtype=np.complex128)
+        start[:, 0] = psi0 * self.frame_phase.conj()
+        return accumulate(range(n_max), lambda block, _: self._frame_period(block, target), initial=start)
 
 
 def as_operator(model: ModelSpec | FloquetOperator) -> FloquetOperator:

@@ -2,13 +2,15 @@
 
 Floats are written with 17 significant digits so files round-trip the
 underlying doubles exactly; repeated runs of a deterministic pipeline
-produce byte-identical outputs.
+produce byte-identical outputs. JSON has no NaN or Infinity, so a
+non-finite float is written as null there (CSV keeps nan).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +28,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """A value as JSON takes it: floats as Python floats, non-finite ones as None (null)."""
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
+    return value
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
+
+
 def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> Path:
     if fmt == "json":
         path = path.with_suffix(".json")
-        records = [
-            {key: (float(v) if isinstance(v, (float, np.floating)) else v) for key, v in zip(header, row)}
-            for row in rows
-        ]
-        path.write_text(json.dumps(records, indent=1) + "\n")
+        _write_json(path, [{key: _json_value(v) for key, v in zip(header, row)} for row in rows])
         return path
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -90,14 +99,14 @@ def write_fisher_series(directory: Path, series: FisherSeries, fmt: str = "csv")
 def write_curvature(directory: Path, fit: CurvatureFit) -> Path:
     path = directory / "curvature.json"
     record = {
-        "a": fit.a,
-        "b": fit.b,
-        "c": fit.c,
-        "kappa": fit.kappa,
-        "rms": fit.rms_residual,
+        "a": _json_value(fit.a),
+        "b": _json_value(fit.b),
+        "c": _json_value(fit.c),
+        "kappa": _json_value(fit.kappa),
+        "rms": _json_value(fit.rms_residual),
         "window": list(fit.window),
     }
-    path.write_text(json.dumps(record, indent=1) + "\n")
+    _write_json(path, record)
     return path
 
 
@@ -131,8 +140,8 @@ def write_run_sidecar(
         "version": version,
         "command": command,
         "config": config_dict,
-        "summary": summary,
+        "summary": {key: _json_value(value) for key, value in summary.items()},
         "outputs": [p.name for p in outputs],
     }
-    path.write_text(json.dumps(payload, indent=1) + "\n")
+    _write_json(path, payload)
     return path

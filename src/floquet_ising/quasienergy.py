@@ -143,12 +143,13 @@ def _symmetric_unitary_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     combined, q = np.linalg.eigh(np.cos(MIX_ANGLE) * real + np.sin(MIX_ANGLE) * imag)
     eigenvalues = np.einsum("ij,ij->j", q, real @ q) + 1j * np.einsum("ij,ij->j", q, imag @ q)
     vectors = q.astype(np.complex128)
-    starts = np.flatnonzero(np.diff(combined) >= SPLIT_TOL) + 1
-    for run in np.split(np.arange(len(combined)), starts):
-        if len(run) > 1:
-            basis = q[:, run]
-            eigenvalues[run], rotation = np.linalg.eig(basis.T @ block @ basis)
-            vectors[:, run] = basis @ rotation
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(combined) >= SPLIT_TOL) + 1, [len(combined)]))
+    longer = np.flatnonzero(np.diff(bounds) > 1)
+    for start, stop in zip(bounds[longer], bounds[longer + 1]):
+        run = np.arange(start, stop)
+        basis = q[:, run]
+        eigenvalues[run], rotation = np.linalg.eig(basis.T @ block @ basis)
+        vectors[:, run] = basis @ rotation
     return eigenvalues, vectors
 
 

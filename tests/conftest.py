@@ -10,6 +10,8 @@ from floquet_ising.metrology import VARIANCE_CUTOFF
 from floquet_ising.model import FIELD_THEN_ISING, TARGET_HX, TARGET_J, FloquetOperator
 from floquet_ising.quasienergy import (
     DEGENERACY_CLUSTER_TOL,
+    MIX_ANGLE,
+    SPLIT_TOL,
     QuasienergyAnalysis,
     default_pair_tolerance,
 )
@@ -48,8 +50,9 @@ def dense(op: FloquetOperator) -> np.ndarray:
 def apply_with_derivative(op: FloquetOperator, target: str, psi: np.ndarray, dpsi: np.ndarray):
     """(U_F psi, U_F dpsi + (dU_F / d theta) psi) from one period of the
     stacked rows (psi, dpsi), shaped as for op.apply."""
-    rows = [np.reshape(x, (op.cells, op.dim)) for x in (psi, dpsi)]
-    _, (new_psi, new_dpsi) = op.derivative_trajectory(target, *rows, 1)
+    op._require_target(target)
+    rows = np.stack([np.reshape(x, (op.cells, op.dim)) for x in (psi, dpsi)], axis=1)
+    new_psi, new_dpsi = op._period(rows, target).transpose(1, 0, 2)
     return new_psi.reshape(np.shape(psi)), new_dpsi.reshape(np.shape(psi))
 
 
@@ -87,21 +90,70 @@ def circle_distance(eps_i: float, eps_j: float, period: float = 1.0) -> float:
 
 
 def dense_by_kronecker(op: FloquetOperator) -> np.ndarray:
-    """Reference dense propagator in closed form: the field step is the N-fold
-    Kronecker power of the single-qubit rotation [[cos, -i sin], [-i sin, cos]],
-    and the diagonal Ising phase scales its rows (ising after field) or its
-    columns (ising before field)."""
-    spec = op.spec
-    angle = spec.h_x * spec.protocol.t1
-    rotation = np.array([[np.cos(angle), -1j * np.sin(angle)], [-1j * np.sin(angle), np.cos(angle)]])
-    matrix = reduce(np.kron, [rotation] * spec.n_qubits)
-    zz = np.zeros(op.dim)
+    """Reference dense propagator of a one-cell operator in closed form (dense_with_derivative)."""
+    return dense_with_derivative(op.spec)[0]
+
+
+def dense_with_derivative(spec: ModelSpec, target: str | None = None, dtype=np.complex128):
+    """Reference (U_F, dU_F / d theta) of one spec in closed form, in `dtype`.
+
+    U_F is the Kronecker power of the one-qubit rotation times the Ising
+    phase, taken in `dtype` (np.clongdouble for an extended-precision
+    reference) from the spec's double parameters. Each step's generator
+    commutes with its step, so dU_F = U_F G when the target's step comes
+    first and G U_F when it comes last, with G = -i T1 sum_i sigma_x^i for
+    h_x and -i T2 sum_bonds z_i z_j for the uniform J. dU_F is None
+    without a target.
+    """
+    real = np.longdouble if dtype == np.clongdouble else np.float64
+    n, p = spec.n_qubits, spec.protocol
+    angle = real(spec.h_x) * real(p.t1)
+    c, s = np.cos(angle), np.sin(angle)
+    rotation = np.array([[c, -1j * s], [-1j * s, c]], dtype=dtype)
+    field = reduce(np.kron, [rotation] * n)
+    zz_weighted = np.zeros(1 << n, dtype=real)
+    zz_plain = np.zeros(1 << n, dtype=real)
     for (i, j), j_b in zip(spec.bonds(), spec.bond_values()):
-        zz += j_b * states.z_values(spec.n_qubits, i) * states.z_values(spec.n_qubits, j)
-    ising = np.exp(-1j * spec.protocol.t2 * zz)
-    if spec.protocol.step_order == FIELD_THEN_ISING:
-        return matrix * ising[:, np.newaxis]
-    return matrix * ising[np.newaxis, :]
+        pair = (states.z_values(n, i) * states.z_values(n, j)).astype(real)
+        zz_weighted += real(j_b) * pair
+        zz_plain += pair
+    ising = np.exp(-1j * real(p.t2) * zz_weighted).astype(dtype)
+    field_first = p.step_order == FIELD_THEN_ISING
+    u = ising[:, np.newaxis] * field if field_first else field * ising[np.newaxis, :]
+    if target is None:
+        return u, None
+    if target == TARGET_HX:
+        identity, sigma_x = np.eye(2, dtype=dtype), np.array([[0, 1], [1, 0]], dtype=dtype)
+        x_sum = sum(reduce(np.kron, [sigma_x if k == q else identity for k in range(n)]) for q in range(n))
+        generator, first = -1j * real(p.t1) * x_sum, field_first
+    else:
+        generator, first = np.diag(-1j * real(p.t2) * zz_plain).astype(dtype), not field_first
+    return u, (u @ generator if first else generator @ u)
+
+
+def reference_trajectory(specs, psi0: np.ndarray, n_max: int, target: str | None = None, dtype=np.complex128):
+    """Reference (psi_n, dpsi_n) of every spec for n = 0..n_max, as (specs, n_max + 1, dim) arrays
+    (dpsi None without a target), by repeated products with dense_with_derivative's matrices in `dtype`."""
+    pairs = [dense_with_derivative(spec, target, dtype) for spec in specs]
+    u = np.array([pair[0] for pair in pairs])
+    psi = np.repeat(np.asarray(psi0, dtype=dtype)[np.newaxis, :, np.newaxis], len(specs), axis=0)
+    psis = [psi]
+    if target is None:
+        for _ in range(n_max):
+            psis.append(u @ psis[-1])
+        return np.concatenate(psis, axis=-1).transpose(0, 2, 1), None
+    du = np.array([pair[1] for pair in pairs])
+    dpsis = [np.zeros_like(psi)]
+    for _ in range(n_max):
+        psis.append(u @ psis[-1])
+        dpsis.append(u @ dpsis[-1] + du @ psis[-2])
+    return tuple(np.concatenate(x, axis=-1).transpose(0, 2, 1) for x in (psis, dpsis))
+
+
+def reference_qfi(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """4 (<dpsi|dpsi> - |<psi|dpsi>|^2) along the last axis, in the arrays' own precision."""
+    overlap = np.sum(psi.conj() * dpsi, axis=-1)
+    return 4 * (np.sum(np.abs(dpsi) ** 2, axis=-1) - np.abs(overlap) ** 2)
 
 
 def hadamard_matrix(bits: int) -> np.ndarray:
@@ -188,6 +240,23 @@ def full_eig_eigensystem(spec: ModelSpec) -> QuasienergyAnalysis:
             eigenvectors[:, cluster] = np.linalg.qr(eigenvectors[:, cluster])[0]
     eigenvectors /= np.linalg.norm(eigenvectors, axis=0, keepdims=True)
     return QuasienergyAnalysis(epsilons=epsilons, eigenvectors=eigenvectors, period=period)
+
+
+def symmetric_unitary_eig_split(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for quasienergy._symmetric_unitary_eig that visits every eigh
+    run, single ones included, as np.split makes them, and re-solves the
+    longer ones with a small eig."""
+    real, imag = block.real, block.imag
+    combined, q = np.linalg.eigh(np.cos(MIX_ANGLE) * real + np.sin(MIX_ANGLE) * imag)
+    eigenvalues = np.einsum("ij,ij->j", q, real @ q) + 1j * np.einsum("ij,ij->j", q, imag @ q)
+    vectors = q.astype(np.complex128)
+    starts = np.flatnonzero(np.diff(combined) >= SPLIT_TOL) + 1
+    for run in np.split(np.arange(len(combined)), starts):
+        if len(run) > 1:
+            basis = q[:, run]
+            eigenvalues[run], rotation = np.linalg.eig(basis.T @ block @ basis)
+            vectors[:, run] = basis @ rotation
+    return eigenvalues, vectors
 
 
 def cluster_indices_loop(eigenvalues: np.ndarray) -> list[list[int]]:

@@ -162,6 +162,20 @@ class TestCommands:
         assert len(records) == 11
         assert set(records[0]) == {"n", "value"}
 
+    def test_json_format_is_strict_json(self, tmp_path):
+        # the CFI at n = 0 from |000> is undefined (nan): null in JSON, nan in CSV
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        args = ["cfi", "--theta", "hx", "--observable", "czz", "-N", "3", "--n-max", "20"]
+        assert main(args + ["--format", "json", "-o", str(tmp_path / "json")]) == 0
+        records = json.loads((tmp_path / "json" / "cfi_hx_czz.json").read_text(), parse_constant=reject)
+        assert records[0]["value"] is None and records[0]["flag"] == "undefined"
+        for name in ("run.json", "curvature.json"):
+            json.loads((tmp_path / "json" / name).read_text(), parse_constant=reject)
+        assert main(args + ["-o", str(tmp_path / "csv")]) == 0
+        assert read_csv(tmp_path / "csv" / "cfi_hx_czz.csv")[0]["value"] == "nan"
+
     def test_config_file_plus_flag_override(self, tmp_path):
         ini = tmp_path / "config.ini"
         ini.write_text("[model]\nhx_t = 1.0\nj_t = 0.5\n[analysis]\nn_max = 25\n")

@@ -2,18 +2,76 @@ import numpy as np
 import pytest
 
 from floquet_ising import states
-from floquet_ising.dynamics import evolve, pair_correlation, total_magnetization
+from floquet_ising.dynamics import evolve, expectation_records, pair_correlation, total_magnetization
 from floquet_ising.metrology import (
     FLAG_UNDEFINED,
     FisherSeries,
     cfi_series,
     curvature_fit,
+    qfi_records,
     qfi_series,
     qfi_value,
 )
-from floquet_ising.model import TARGET_HX, TARGET_J, FloquetOperator, ModelSpec
+from floquet_ising.model import FIELD_THEN_ISING, ISING_THEN_FIELD, TARGET_HX, TARGET_J, FloquetOperator, ModelSpec
 
-from conftest import cfi_finite_difference, qfi_finite_difference, shifted_spec
+from conftest import (
+    cfi_finite_difference,
+    qfi_finite_difference,
+    random_state,
+    reference_qfi,
+    reference_trajectory,
+    shifted_spec,
+)
+
+
+class TestRandomStartState:
+    """Every reader against repeated dense products from a random start state.
+
+    The loop runs in the frame L^-1 psi, L = diag((-i)^popcount), and
+    evolve takes its states back out of it; from |0..0>, where L is 1, a
+    missing entry into the frame would go unseen. Agreement within 1e-12
+    relative to the largest reference entry, after 25 periods.
+    """
+
+    N_MAX = 25
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("target", [None, TARGET_HX, TARGET_J])
+    @pytest.mark.parametrize("order", [FIELD_THEN_ISING, ISING_THEN_FIELD])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_readers_match_dense_products(self, rng, n, order, target):
+        specs = [
+            ModelSpec.dimensionless(n, h, j if n > 1 else 0.0, step_order=order)
+            for h, j in rng.uniform(0.2, 3.0, size=(2, 2))
+        ]
+        op = FloquetOperator(specs)
+        psi0 = random_state(n, rng)
+        psi, dpsi = reference_trajectory(specs, psi0, self.N_MAX, target)
+
+        def close(got, expected):
+            return np.abs(got - expected).max() <= self.TOL * np.abs(expected).max()
+
+        for k, (psi_k, dpsi_k) in enumerate(evolve(op, psi0, self.N_MAX, target)):
+            assert close(psi_k, psi[:, k]), k
+            assert dpsi_k is None if target is None else close(dpsi_k, dpsi[:, k]), k
+
+        observables = [total_magnetization(n)] + ([pair_correlation(n)] if n > 1 else [])
+        probs = np.abs(psi) ** 2
+        expected = np.stack([probs @ obs.diag for obs in observables], axis=1)
+        assert close(expectation_records(op, psi0, self.N_MAX, observables), expected)
+        if target is None:
+            return
+
+        assert close(qfi_records(op, target, psi0, self.N_MAX), reference_qfi(psi, dpsi))
+
+        # the one-cell CFI of the last observable, from the first cell's rows
+        diag = observables[-1].diag
+        mean = probs[0] @ diag
+        gradient = 2.0 * np.sum(dpsi[0].conj() * diag * psi[0], axis=-1).real
+        cfi = gradient**2 / (probs[0] @ (diag * diag) - mean**2)
+        series = cfi_series(specs[0], target, observables[-1], psi0, self.N_MAX)
+        assert series.defined().all()
+        assert close(series.values, cfi)
 
 
 class TestDerivativeEvolution:

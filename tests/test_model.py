@@ -314,9 +314,14 @@ class TestFactoredPeriod:
         for n in range(1, 13):
             op = FloquetOperator([ModelSpec.dimensionless(n, h, 0.0) for h in rng.uniform(0, 2 * np.pi, 20)])
             moduli = []
-            for factor in (op._f_hi, op._f_lo):
+            lo = op._o_lo_t.shape[-1]
+            real_factors = (op._o_hi, op.frame_phase[::lo]), (op._o_lo_t.transpose(0, 2, 1), op.frame_phase[:lo])
+            for real_factor, phase in real_factors:
+                # the stored real factor taken back out of the frame, exactly
+                phase = phase.astype(np.clongdouble)
+                factor = phase[:, np.newaxis] * real_factor.real.astype(np.longdouble) * phase.conj()
                 w = hadamard_matrix(factor.shape[-1].bit_length() - 1).astype(np.longdouble)
-                eigenvalues = np.einsum("ij,cjk,ki->ci", w, factor.astype(np.clongdouble), w) / len(w)
+                eigenvalues = np.einsum("ij,cjk,ki->ci", w, factor, w) / len(w)
                 moduli.append(np.abs(eigenvalues) - 1)
             error = np.abs(moduli[0][:, :, np.newaxis] + moduli[1][:, np.newaxis, :]).max()
             assert error <= 2e-16, (n, error)

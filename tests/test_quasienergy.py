@@ -9,6 +9,7 @@ from floquet_ising.model import CHAIN, ISING_THEN_FIELD, RING, STEP_ORDERS, Floq
 from floquet_ising.quasienergy import (
     QuasienergyAnalysis,
     _sector_blocks,
+    _symmetric_unitary_eig,
     default_pair_tolerance,
     detect_pi_pairs,
     floquet_eigensystem,
@@ -22,6 +23,7 @@ from conftest import (
     full_eig_eigensystem,
     overlap_weight_loop,
     random_state,
+    symmetric_unitary_eig_split,
 )
 
 
@@ -92,6 +94,15 @@ class TestParityBlocks:
     )
     # (h_x T, J T) with per-bond couplings J_b T = J T (1 + 0.25 b)
     PER_BOND_POINTS = [(2.6, 1.57), (1.1, 2.3), (0.0, 1.1)]
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_block_eig_matches_split_loop(self, n):
+        # visiting only the eigh runs longer than one leaves every eigenpair
+        # bitwise unchanged, the fully degenerate h_x = J = 0 point included
+        for h, j in self.POINTS:
+            for block in _sector_blocks(FloquetOperator(ModelSpec.dimensionless(n, h, j))):
+                for got, expected in zip(_symmetric_unitary_eig(block), symmetric_unitary_eig_split(block)):
+                    assert np.array_equal(got, expected), (h, j)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_matches_full_eig_oracle(self, n):

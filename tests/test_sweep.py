@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from floquet_ising import sweep
-from floquet_ising.dynamics import magnetization_series
+from floquet_ising.dynamics import magnetization_series, total_magnetization
 from floquet_ising.errors import NumericalError
-from floquet_ising.metrology import curvature_fit, qfi_series
+from floquet_ising.metrology import curvature_fit, qfi_series, quadratic_fits, tail_window
 from floquet_ising.model import CHAIN, FIELD_THEN_ISING, ISING_THEN_FIELD, RING, TARGET_HX, TARGET_J
-from floquet_ising.spectral import subharmonic_weight
+from floquet_ising.spectral import subharmonic_weight, subharmonic_weights
 from floquet_ising.states import all_zero_state
 from floquet_ising.sweep import (
     KAPPA_HX,
@@ -16,6 +16,8 @@ from floquet_ising.sweep import (
     classify_pd,
     sweep_diagnostic,
 )
+
+from conftest import reference_qfi, reference_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +153,51 @@ class TestBatchedOracle:
                         target = TARGET_HX if diagnostic == KAPPA_HX else TARGET_J
                         expected = curvature_fit(qfi_series(spec, target, psi0, settings.n_max)).a
                     assert abs(values[a, b] - expected) <= self.TOL * (1 + abs(expected))
+
+
+class TestExtendedPrecisionOracle:
+    """Criterion-11 cells against a recurrence of U_F and dU_F in extended
+    precision (np.clongdouble), reduced by the same spectral and fit code.
+
+    The weight at (h_x T, J T) = (pi/60, pi/2), N = 5, is ill-conditioned:
+    a one-ulp change of h_x or J moves it by up to 3e-12, and double
+    recurrences land about 4.5e-12 off the reference there, so its bound is
+    WEIGHT_TOL; about 1e-15 elsewhere. Curvatures at N = 7 (|kappa| up to
+    about 14) land within about 6e-13; their bound is KAPPA_TOL.
+    """
+
+    WEIGHT_TOL = 1e-11
+    KAPPA_TOL = 1e-12
+    AXIS = np.linspace(0.0, np.pi, 61)  # criterion 11's grid axis
+
+    def cells(self, n, h_index, j_index):
+        h, j = self.AXIS[list(h_index)], self.AXIS[list(j_index)]
+        grid = GridSpec(h_range=(h[0], h[1], 2), j_range=(j[0], j[1], 2), n_qubits=n)
+        assert np.array_equal(grid.h_values(), h) and np.array_equal(grid.j_values(), j)
+        specs = [grid.model_at(a, b) for a in h for b in j]
+        return grid, specs, all_zero_state(n)
+
+    def test_weight_n5(self):
+        grid, specs, psi0 = self.cells(5, (1, 40), (12, 30))
+        settings = SweepSettings()
+        n_max = settings.transient_discard + settings.spectrum_samples
+        psi, _ = reference_trajectory(specs, psi0, n_max, dtype=np.clongdouble)
+        mz = (np.abs(psi) ** 2 @ total_magnetization(5).diag.astype(np.longdouble)).astype(float)
+        expected = subharmonic_weights(mz, settings.transient_discard, settings.spectrum_samples)[0]
+        values = sweep_diagnostic(grid, "weight", settings).values.ravel()
+        assert np.abs(values - expected).max() <= self.WEIGHT_TOL
+
+    @pytest.mark.parametrize("diagnostic", [KAPPA_HX, KAPPA_J])
+    def test_kappa_n7(self, diagnostic):
+        grid, specs, psi0 = self.cells(7, (1, 44), (23, 30))
+        settings = SweepSettings()
+        target = TARGET_HX if diagnostic == KAPPA_HX else TARGET_J
+        psi, dpsi = reference_trajectory(specs, psi0, settings.n_max, target, dtype=np.clongdouble)
+        qfi = reference_qfi(psi, dpsi).astype(float)
+        window = tail_window(settings.n_max + 1, settings.fit_window)
+        expected = quadratic_fits(np.arange(settings.n_max + 1)[window] * grid.period, qfi[:, window])[0][:, 0]
+        values = sweep_diagnostic(grid, diagnostic, settings).values.ravel()
+        assert np.abs(values - expected).max() <= self.KAPPA_TOL
 
 
 class TestDeterminismAndIsolation:
