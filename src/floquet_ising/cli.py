@@ -20,7 +20,7 @@ from . import __version__, metrology, output, quasienergy, spectral, sweep
 from .config import ConfigError, RunConfig
 from .dynamics import observable_by_label, stroboscopic_trajectory, total_magnetization, pair_correlation
 from .errors import NumericalError
-from .model import CHAIN, RING, STEP_ORDERS, TARGET_HX, TARGET_J, ModelSpec
+from .model import CHAIN, RING, STEP_ORDERS, TARGETS, ModelSpec
 from .states import all_zero_state
 
 
@@ -166,12 +166,8 @@ def _cmd_quasi(args) -> int:
     return _finish(directory, "quasi", config, summary, files)
 
 
-def _theta(args) -> str:
-    return TARGET_HX if args.theta == "hx" else TARGET_J
-
-
 def _fisher_summary(fit: metrology.CurvatureFit) -> dict:
-    return {"a": fit.a, "b": fit.b, "c": fit.c, "kappa": fit.kappa,
+    return {"a": fit.a, "b": fit.b, "c": fit.c, "kappa": fit.a,
             "rms": fit.rms_residual, "window": list(fit.window)}
 
 
@@ -179,7 +175,7 @@ def _cmd_qfi(args) -> int:
     config = _resolve_config(args)
     spec = _build_model(config)
     psi0 = all_zero_state(spec.n_qubits)
-    series = metrology.qfi_series(spec, _theta(args), psi0, config.analysis.n_max)
+    series = metrology.qfi_series(spec, args.theta, psi0, config.analysis.n_max)
     fit = metrology.curvature_fit(series, config.analysis.fit_window)
     directory = _out_dir(config)
     files = [
@@ -194,7 +190,7 @@ def _cmd_cfi(args) -> int:
     spec = _build_model(config)
     psi0 = all_zero_state(spec.n_qubits)
     observable = observable_by_label(args.observable, spec.n_qubits)
-    series = metrology.cfi_series(spec, _theta(args), observable, psi0, config.analysis.n_max)
+    series = metrology.cfi_series(spec, args.theta, observable, psi0, config.analysis.n_max)
     directory = _out_dir(config)
     files = [output.write_fisher_series(directory, series, config.output.format)]
     try:
@@ -270,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     quasi.set_defaults(handler=_cmd_quasi)
 
     qfi = commands.add_parser("qfi", help="quantum Fisher information series + curvature fit")
-    qfi.add_argument("--theta", choices=["hx", "j"], required=True, help="estimation target")
+    qfi.add_argument("--theta", choices=list(TARGETS), required=True, help="estimation target")
     qfi.set_defaults(handler=_cmd_qfi)
 
     cfi = commands.add_parser("cfi", help="classical Fisher information series + curvature fit")
-    cfi.add_argument("--theta", choices=["hx", "j"], required=True, help="estimation target")
+    cfi.add_argument("--theta", choices=list(TARGETS), required=True, help="estimation target")
     cfi.add_argument("--observable", choices=["mz", "czz"], default="mz")
     cfi.set_defaults(handler=_cmd_cfi)
 

@@ -4,15 +4,14 @@ Trajectories record expectation values at t = nT for n = 0..n_max, with
 the state advanced by repeated application of the one-period propagator
 (never by matrix powers). One loop, the operator's frame_trajectory,
 serves every caller: it advances a block of cells together, one row per
-cell, so a grid block costs one propagator call per period. evolve takes
-its states out of the operator's frame; the per-spec functions are the
-one-cell case.
+cell, so a grid block costs one propagator call per period. Its states
+are in the operator's frame L^-1 psi, L = diag((-i)^popcount), which no
+Z-basis probability can see; the per-spec functions are the one-cell case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -71,30 +70,6 @@ class TimeSeries:
     values: np.ndarray
     label: str
     period: float
-
-
-def evolve(
-    model: ModelSpec | FloquetOperator,
-    psi0: np.ndarray,
-    n_max: int,
-    target: str | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """The pairs (psi_n, dpsi_n) for n = 0..n_max, the operator's frame_trajectory taken out of the frame.
-
-    Every cell of the operator starts from psi0, and psi_n holds one row
-    per cell, shape (cells, dim). With a derivative target, dpsi_n is
-    d psi_n / d theta; without one it is None. expectation_records,
-    metrology.qfi_records and metrology.cfi_series read the frame states
-    chi_n = L^-1 psi_n as they come instead: L = diag((-i)^popcount)
-    does not depend on h_x or J, so every Z-basis probability, <psi|dpsi>
-    and Re <dpsi|X|psi> for a diagonal X takes the same value on them.
-    """
-    op = as_operator(model)
-    phase = op.frame_phase
-    blocks = op.frame_trajectory(psi0, n_max, target)
-    if target is None:
-        return ((block[:, 0] * phase, None) for block in blocks)
-    return ((block[:, 0] * phase, block[:, 1] * phase) for block in blocks)
 
 
 def expectation_records(

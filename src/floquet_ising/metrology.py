@@ -155,8 +155,8 @@ def cfi_series(
 class CurvatureFit:
     """Least-squares fit of F(t) = a t^2 / 2 + b t + c over the series tail.
 
-    kappa is the fitted a, i.e. the second time derivative of F; the fit
-    window is reported as the (first, last) period index it covers.
+    The curvature kappa is the fitted a, i.e. the second time derivative of
+    F; the fit window is reported as the (first, last) period index it covers.
     """
 
     a: float
@@ -164,10 +164,6 @@ class CurvatureFit:
     c: float
     window: tuple[int, int]
     rms_residual: float
-
-    @property
-    def kappa(self) -> float:
-        return self.a
 
 
 def tail_window(count: int, window_fraction: float) -> slice:

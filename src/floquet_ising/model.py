@@ -16,13 +16,17 @@ O_lo are real and the left product is a real one, and the h_x derivative
 of the step is the real generator T1 sum_i (-i sigma_y^i) applied to its
 output. L commutes with the Ising phase and with every Z-basis
 observable and does not depend on h_x or J, so probabilities, the QFI and
-the CFI of a diagonal observable read the same on frame states; apply and
-dynamics.evolve take states back out of the frame. The J derivative of
-the Ising step is the same phase times a diagonal generator. The factors
-are built in extended precision and rounded to doubles so that
-F_hi (x) F_lo stays unitary to about one rounding, which keeps a state's
-norm from drifting over long runs; the real factors are those rounded
-factors times the exact phases +-1 and +-i.
+the CFI of a diagonal observable read the same on frame states; only
+apply and _period take states back out of the frame. The J derivative of
+the Ising step is the same phase times a diagonal generator.
+
+An entry (a, b) of a factor on k qubits depends on its Hamming class
+d = popcount(a ^ b) alone: it is sign * m_d, with the real class value
+m_d = cos(h_x T1)^(k - d) sin(h_x T1)^d and sign = (-1)^popcount(b & ~a).
+The k + 1 class values are taken in extended precision and rounded to
+doubles together, so that F_hi (x) F_lo stays unitary to about one
+rounding, which keeps a state's norm from drifting over long runs; each
+factor is then gathered from them through its (distance, sign) table.
 
 An operator may hold a block of cells, one ModelSpec each, that share N,
 boundary and protocol: the field factors and the Ising phase are stored
@@ -170,12 +174,6 @@ class ModelSpec:
         return np.asarray(self.couplings)
 
 
-def _pair_blocks(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.ndarray:
-    """The block matrices [[diagonal, off_diagonal], [off_diagonal, diagonal]] of (cells, m, m) blocks."""
-    rows = (np.concatenate((diagonal, off_diagonal), axis=-1), np.concatenate((off_diagonal, diagonal), axis=-1))
-    return np.concatenate(rows, axis=-2)
-
-
 def _other_double(exact: np.ndarray, nearest: np.ndarray) -> np.ndarray:
     """The double next to `nearest` on the side of `exact`; `nearest` itself where it is exact."""
     return np.nextafter(nearest, np.where(nearest < exact, np.inf, np.where(nearest > exact, -np.inf, nearest)))
@@ -187,28 +185,47 @@ def _krawtchouk(k: int) -> np.ndarray:
     return np.array([reduce(np.convolve, [[1, 1]] * (k - w) + [[1, -1]] * w, [1]) for w in range(k + 1)])
 
 
-def _rounded_field_factors(angle: np.ndarray, factors: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """The extended-precision factors [F_hi, F_lo], given with their Hamming
-    distance tables, rounded to doubles so that F_hi (x) F_lo stays unitary.
+@lru_cache
+def _class_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distance, sign) of the entries (a, b) of a factor on k qubits: popcount(a ^ b) and (-1)^popcount(b & ~a)."""
+    index = np.arange(1 << k)
+    counts = sum(((index >> bit) & 1 for bit in range(k)), np.zeros_like(index))
+    a, b = index[:, np.newaxis], index
+    return counts[a ^ b], 1 - 2 * (counts[b & ~a] & 1)
 
-    A factor on k qubits and its rounding error depend on the distance d of
-    row and column only, so both are diagonal in the Hadamard basis: with w
-    minus signs, F's eigenvalue is lambda_w = exp(-i angle (k - 2w)) and the
-    error's is sum_d K[w, d] eps_d, eps_d the error of class d. Rounded to
-    the nearest double, the moduli miss 1 by up to a few ulps, the same way
+
+def _class_values(c: np.ndarray, s: np.ndarray, k: int) -> np.ndarray:
+    """m_d = c^(k - d) s^d for d = 0..k and every cell, folded from the lowest qubit up with s on the first d.
+
+    The fold order fixes how each value rounds in extended precision, and so
+    which double the rounding pick starts from.
+    """
+    weights = np.arange(k + 1)
+    return reduce(lambda value, j: np.where(j < weights, s, c) * value, range(k), np.ones((len(c), k + 1), c.dtype))
+
+
+def _rounded_field_factors(angle: np.ndarray, classes: list[np.ndarray]) -> list[np.ndarray]:
+    """The extended-precision class values [m_hi, m_lo] of the field factors,
+    rounded to doubles so that F_hi (x) F_lo stays unitary.
+
+    An entry of a factor F on k qubits is (-i)^d m_d, and so is its rounding
+    error, with d the distance of row and column, so both are diagonal in
+    the Hadamard basis: with w minus signs, F's eigenvalue is
+    lambda_w = exp(-i angle (k - 2w)) and the error's is
+    sum_d K[w, d] (-i)^d eps_d, eps_d the error of m_d. Rounded to the
+    nearest double, the moduli miss 1 by up to a few ulps, the same way
     every period, and a state's norm drifts. So each class goes to the
     nearest double or to the other neighbour, as bit d of a choice says, and
     each cell takes the pair of choices whose product eigenvalues have the
     smallest largest modulus error, to first order.
     """
-    steps, highs, lows = [], [], []
-    for factor, distance in factors:
-        k = int(distance[0, -1])
+    neighbours, highs, lows = [], [], []
+    for exact in classes:
+        k = exact.shape[-1] - 1
         weights = np.arange(k + 1)
-        exact = factor[:, 0, (1 << weights) - 1]  # row 0 holds class d at column 2^d - 1
-        nearest = exact.astype(np.complex128)
-        other = _other_double(exact.real, nearest.real) + 1j * _other_double(exact.imag, nearest.imag)
-        errors = (np.stack((nearest, other)) - exact).astype(np.complex128)
+        nearest = exact.astype(np.float64)
+        choices = np.stack((nearest, _other_double(exact, nearest)))
+        errors = (choices - exact).astype(np.float64) * np.array([1, -1j, -1, 1j])[weights % 4]
         # shares[r, cell, d, w]: class d's share of |lambda_w| - 1 under rounding r
         conj_eigenvalues = np.exp(1j * (k - 2 * weights) * angle)
         shares = (errors[..., np.newaxis] * _krawtchouk(k).T * conj_eigenvalues[:, np.newaxis]).real
@@ -216,7 +233,7 @@ def _rounded_field_factors(angle: np.ndarray, factors: list[tuple[np.ndarray, np
         moduli = shares[0].sum(axis=1)[..., np.newaxis]
         for d in weights:
             moduli = np.concatenate((moduli, moduli + (shares[1] - shares[0])[:, d, :, np.newaxis]), axis=-1)
-        steps.append(other - nearest)
+        neighbours.append(choices)
         highs.append(moduli.max(axis=1))
         lows.append(moduli.min(axis=1))
     # worst[cell, i_hi, i_lo]: the largest |m_hi + m_lo| over the product's eigenvalues
@@ -224,11 +241,10 @@ def _rounded_field_factors(angle: np.ndarray, factors: list[tuple[np.ndarray, np
         highs[0][:, :, np.newaxis] + highs[1][:, np.newaxis], -(lows[0][:, :, np.newaxis] + lows[1][:, np.newaxis])
     )
     picks = np.unravel_index(np.argmin(worst.reshape(len(worst), -1), axis=1), worst.shape[1:])
-    rounded = []
-    for pick, step, (factor, distance) in zip(picks, steps, factors):
-        to_other = ((pick[:, np.newaxis] >> np.arange(step.shape[-1])) & 1).astype(bool)
-        rounded.append(factor.astype(np.complex128) + np.where(to_other, step, 0)[:, distance])
-    return rounded
+    return [
+        np.where((pick[:, np.newaxis] >> np.arange(nearest.shape[-1])) & 1, other, nearest)
+        for pick, (nearest, other) in zip(picks, neighbours)
+    ]
 
 
 class FloquetOperator:
@@ -237,11 +253,13 @@ class FloquetOperator:
     A cell is one ModelSpec; the cells of a block share n_qubits, boundary
     and protocol, and their field factors and Ising phases carry a leading
     cell axis. The factors are stored in the frame chi = L^-1 psi, where
-    they are real: frame_phase is the diagonal of L, (-i)^popcount, and
-    frame_trajectory yields frame states. L is a Z-basis phase independent
-    of h_x and J, so no Z-basis probability, QFI or CFI can see it; apply
-    and _period enter and leave the frame, so they act as U_F itself.
-    Immutable after construction; safe to share across workers.
+    they are real, each gathered from its cell's rounded class values:
+    O = sign * m[distance], and the generator factors are
+    Y = T1 * sign * (distance == 1). frame_phase is the diagonal of L,
+    (-i)^popcount, and frame_trajectory yields frame states. L is a Z-basis
+    phase independent of h_x and J, so no Z-basis probability, QFI or CFI
+    can see it; apply and _period enter and leave the frame, so they act as
+    U_F itself. Immutable after construction; safe to share across workers.
     """
 
     def __init__(self, specs: ModelSpec | Sequence[ModelSpec]):
@@ -271,42 +289,22 @@ class FloquetOperator:
         self._ising_phases = np.exp(-1j * p.t2 * zz_weighted)
         self._ising_generator = -1j * p.t2 * zz_plain
 
-        # the field step is the N-fold Kronecker power of the one-qubit
-        # rotation R = exp(-i h_x T1 sigma_x) = [[c, -i s], [-i s, c]], with
-        # R (x) F = [[c F, -i s F], [-i s F, c F]], taken in extended
-        # precision. The same loop builds X = sum_i sigma_x^i, since
-        # X (x) 1 + 1 (x) sigma_x = [[X, 1], [1, X]], and the Hamming distance
-        # of each entry's row and column, on which the entry depends.
-        angle = np.array([spec.h_x for spec in self.specs], dtype=np.longdouble)[:, np.newaxis, np.newaxis] * p.t1
+        # the real field factors O = sign * m[distance] in the frame, from
+        # the rounded class values m_d = c^(k - d) s^d (module docstring), and
+        # the h_x generator factors T1 * sign on distance 1, the frame's
+        # -i T1 L^-1 sum_i sigma_x^i L. A (x) B acts on a grid as
+        # A @ grid @ B^T; the right factors multiply complex grids, so they
+        # are stored transposed and as complex, which spares a cast per product.
+        angle = np.array([spec.h_x for spec in self.specs], dtype=np.longdouble)[:, np.newaxis] * p.t1
         c, s = np.cos(angle), np.sin(angle)
-        powers = [(np.ones((self.cells, 1, 1), np.clongdouble), np.zeros((1, 1, 1)), np.zeros((1, 1), np.int8))]
-        for _ in range(n - n // 2):
-            f, x_sum, distance = powers[-1]
-            identity = np.eye(x_sum.shape[-1])[np.newaxis]
-            pairs = (c * f, -1j * s * f), (x_sum, identity), (distance, distance + 1)
-            powers.append(tuple(_pair_blocks(*pair) for pair in pairs))
-        # F_hi acts on the top N//2 qubits, F_lo on the rest
-        (f_hi, x_hi, d_hi), (f_lo, x_lo, d_lo) = powers[n // 2], powers[-1]
-        f_hi, f_lo = _rounded_field_factors(angle[:, 0].astype(float), [(f_hi, d_hi), (f_lo, d_lo)])
-        # in the frame chi = L^-1 psi, L = diag((-i)^popcount), the factors
-        # are real, L^-1 F L = exp(-i h_x T1 sum_i sigma_y^i), and so is the
-        # h_x generator, -i T1 L^-1 X L = T1 sum_i (-i sigma_y^i). L's entries
-        # are +-1 and +-i, so each real factor is the rounded F times exact
-        # phases and the imaginary parts dropped are exact zeros. A (x) B
-        # acts on a grid as A @ grid @ B^T; the right factors multiply
-        # complex grids, so they are stored transposed and as complex, which
-        # spares a cast per product.
+        sizes = n // 2, n - n // 2  # F_hi acts on the top N//2 qubits, F_lo on the rest
+        m_hi, m_lo = _rounded_field_factors(angle.astype(float), [_class_values(c, s, k) for k in sizes])
+        (distance_hi, sign_hi), (distance_lo, sign_lo) = (_class_table(k) for k in sizes)
         self.frame_phase = np.array([1, -1j, -1, 1j])[states.popcounts(n) % 4]
-        lo = f_lo.shape[-1]
-        phase_hi, phase_lo = self.frame_phase[::lo], self.frame_phase[:lo]
-
-        def in_frame(matrix: np.ndarray, phase: np.ndarray) -> np.ndarray:
-            return (phase.conj()[:, np.newaxis] * matrix * phase).real
-
-        self._o_hi = in_frame(f_hi, phase_hi)
-        self._o_lo_t = in_frame(f_lo, phase_lo).transpose(0, 2, 1).astype(np.complex128)
-        self._y_hi = in_frame(-1j * p.t1 * x_hi[0], phase_hi)
-        self._y_lo_t = in_frame(-1j * p.t1 * x_lo[0], phase_lo).T.astype(np.complex128)
+        self._o_hi = sign_hi * np.take(m_hi, distance_hi, axis=1)
+        self._o_lo_t = (sign_lo * np.take(m_lo, distance_lo, axis=1)).transpose(0, 2, 1).astype(np.complex128)
+        self._y_hi = p.t1 * sign_hi * (distance_hi == 1)
+        self._y_lo_t = (p.t1 * sign_lo * (distance_lo == 1)).T.astype(np.complex128)
         self._field_first = p.step_order == FIELD_THEN_ISING
 
     def _require_one_cell(self) -> None:

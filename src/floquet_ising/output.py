@@ -102,7 +102,7 @@ def write_curvature(directory: Path, fit: CurvatureFit) -> Path:
         "a": _json_value(fit.a),
         "b": _json_value(fit.b),
         "c": _json_value(fit.c),
-        "kappa": _json_value(fit.kappa),
+        "kappa": _json_value(fit.a),
         "rms": _json_value(fit.rms_residual),
         "window": list(fit.window),
     }

@@ -15,9 +15,11 @@ Haake, Quantum Signatures of Chaos, ch. 4): D is diagonal and the field
 step F has a closed form in the Hamming distance of two basis states, so
 both half-size sector blocks of S are written down directly, and each is
 solved by one real symmetric eigh. The eigen-residual is then taken against
-the full U_F by running one period of the operator, whose field factors are
-Kronecker powers of the one-qubit rotation, on the eigenvectors: a
-construction independent of the closed-form blocks. In the
+the full U_F by running one period of the operator on the eigenvectors. Its
+field factors come from the same Hamming classes, but on the two halves of
+the qubits, in the real frame and rounded from extended precision, with no
+square root of the Ising phase and no parity map, so a slip in either
+shows up in the residual. In the
 period-doubled phase a pi-pair joins states of opposite parity (Khemani et
 al., PRL 116, 250401 (2016); Else, Bauer & Nayak, PRL 117, 090402 (2016)).
 """
@@ -176,7 +178,7 @@ def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalys
     the small eig on a degenerate run does not guarantee orthogonality, and
     the h_x = J = 0 identity point is fully degenerate. The eigen-residual is
     taken against the full U_F, by one period of the operator's step table
-    on half of the eigenvectors at a time, so any error in D, in the block
+    on a quarter of the eigenvectors at a time, so any error in D, in the block
     map or in a sign fails the residual check.
     """
     op = as_operator(model)
@@ -224,9 +226,11 @@ def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalys
         eigenvectors[:, cluster] = np.linalg.qr(eigenvectors[:, cluster])[0]
     eigenvectors *= 1.0 / _column_norms(eigenvectors)
 
-    # two passes of dim/2 rows keep the period's work arrays small
+    # passes of dim/4 rows keep the period's work arrays small
     residual = 0.0
-    for columns in halves:
+    step = max(op.dim // 4, 1)
+    for start in range(0, op.dim, step):
+        columns = slice(start, start + step)
         rows = eigenvectors[:, columns].T
         residuals = op._period(rows[np.newaxis])[0]
         residuals -= rows * eigenvalues[columns, np.newaxis]
@@ -328,12 +332,8 @@ def overlap_weight(analysis: QuasienergyAnalysis, psi0: np.ndarray) -> float:
 
 
 def analyze(
-    model: ModelSpec | FloquetOperator,
-    psi0: np.ndarray | None = None,
-    tolerance: float | None = None,
-) -> tuple[QuasienergyAnalysis, float | None]:
-    """Full pipeline: eigensystem, pair detection, optional overlap weight."""
-    op = as_operator(model)
-    analysis = detect_pi_pairs(floquet_eigensystem(op), tolerance)
-    weight = overlap_weight(analysis, psi0) if psi0 is not None else None
-    return analysis, weight
+    model: ModelSpec | FloquetOperator, psi0: np.ndarray, tolerance: float | None = None
+) -> tuple[QuasienergyAnalysis, float]:
+    """Full pipeline: eigensystem, pair detection and psi0's overlap weight."""
+    analysis = detect_pi_pairs(floquet_eigensystem(model), tolerance)
+    return analysis, overlap_weight(analysis, psi0)

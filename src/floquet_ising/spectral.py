@@ -67,9 +67,9 @@ def power_spectrum(signal: np.ndarray, period: float = 1.0) -> PowerSpectrum:
 SUBHARMONIC_BAND_FRACTION = 0.004
 
 
-def subharmonic_band(samples: int, band_fraction: float = SUBHARMONIC_BAND_FRACTION) -> tuple[int, int]:
+def subharmonic_band(samples: int) -> tuple[int, int]:
     """Inclusive bin range [lo, hi] counted as the subharmonic response."""
-    radius = int(band_fraction * samples)
+    radius = int(SUBHARMONIC_BAND_FRACTION * samples)
     return max(1, samples // 2 - radius), samples // 2 + radius
 
 
@@ -83,10 +83,7 @@ class SubharmonicDiagnostic:
 
 
 def subharmonic_weights(
-    values: np.ndarray,
-    discard: int = 50,
-    samples: int = 512,
-    band_fraction: float = SUBHARMONIC_BAND_FRACTION,
+    values: np.ndarray, discard: int = 50, samples: int = 512
 ) -> tuple[np.ndarray, np.ndarray]:
     """Subharmonic weight of every row of a (rows, length) array, and each row's power spectrum.
 
@@ -106,24 +103,20 @@ def subharmonic_weights(
     window = values[:, discard : discard + samples]
     powers = _powers(window - window.mean(axis=-1, keepdims=True))
     total = powers[:, 1:].sum(axis=-1)
-    lo, hi = subharmonic_band(samples, band_fraction)
+    lo, hi = subharmonic_band(samples)
     static = total < STATIC_POWER_CUTOFF * samples
     weights = powers[:, lo : hi + 1].sum(axis=-1) / np.where(static, 1.0, total)
     weights[static] = 0.0
     return weights, powers
 
 
-def subharmonic_weight(
-    series,
-    discard: int = 50,
-    samples: int = 512,
-    period: float | None = None,
-    band_fraction: float = SUBHARMONIC_BAND_FRACTION,
-) -> SubharmonicDiagnostic:
-    """Fraction of oscillatory power in the subharmonic (f = 1/2T) band: subharmonic_weights of one row."""
-    (weight,), (powers,) = subharmonic_weights(_series_values(series)[np.newaxis], discard, samples, band_fraction)
-    if period is None:
-        period = series.period if isinstance(series, TimeSeries) else 1.0
+def subharmonic_weight(series, discard: int = 50, samples: int = 512) -> SubharmonicDiagnostic:
+    """Fraction of oscillatory power in the subharmonic (f = 1/2T) band: subharmonic_weights of one row.
+
+    The spectrum's period is the series' own, or 1 for a plain array.
+    """
+    (weight,), (powers,) = subharmonic_weights(_series_values(series)[np.newaxis], discard, samples)
+    period = series.period if isinstance(series, TimeSeries) else 1.0
     return SubharmonicDiagnostic(
         weight=float(weight),
         spectrum=PowerSpectrum(powers=powers, period=period),

@@ -15,7 +15,7 @@ import pytest
 
 import floquet_ising as fi
 from floquet_ising import states
-from floquet_ising.dynamics import evolve, magnetization_series, pair_correlation, total_magnetization
+from floquet_ising.dynamics import magnetization_series, pair_correlation, total_magnetization
 from floquet_ising.metrology import cfi_series, curvature_fit, qfi_series
 from floquet_ising.model import TARGET_HX, TARGET_J, FloquetOperator, ModelSpec
 from floquet_ising.output import write_diagram
@@ -241,8 +241,8 @@ def test_c10_structural_invariants(psi0, rng=np.random.default_rng(31415)):
     # norm-derivative orthogonality along the evolution
     worst_overlap = 0.0
     for target in (TARGET_HX, TARGET_J):
-        for psi, dpsi in evolve(spec_at(PD), psi0, 100, target):
-            worst_overlap = max(worst_overlap, abs(np.vdot(psi, dpsi).real))
+        for ((chi, dchi),) in FloquetOperator(spec_at(PD)).frame_trajectory(psi0, 100, target):
+            worst_overlap = max(worst_overlap, abs(np.vdot(chi, dchi).real))
     assert worst_overlap <= 1e-9
     report(10, f"spectral symmetry {sym:.1e}, Parseval {parseval:.1e}, weight invariances, "
                f"eigen-residual {worst_residual:.1e} on 21x21 grid, Re<psi|dpsi> {worst_overlap:.1e}")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from floquet_ising import states
-from floquet_ising.dynamics import evolve, expectation_records, pair_correlation, total_magnetization
+from floquet_ising.dynamics import expectation_records, pair_correlation, total_magnetization
 from floquet_ising.metrology import (
     FLAG_UNDEFINED,
     FisherSeries,
@@ -27,9 +27,9 @@ from conftest import (
 class TestRandomStartState:
     """Every reader against repeated dense products from a random start state.
 
-    The loop runs in the frame L^-1 psi, L = diag((-i)^popcount), and
-    evolve takes its states back out of it; from |0..0>, where L is 1, a
-    missing entry into the frame would go unseen. Agreement within 1e-12
+    The loop runs in the frame L^-1 psi, L = diag((-i)^popcount), and its
+    states are compared after frame_phase takes them back out of it; from
+    |0..0>, where L is 1, a missing entry into the frame would go unseen. Agreement within 1e-12
     relative to the largest reference entry, after 25 periods.
     """
 
@@ -51,9 +51,10 @@ class TestRandomStartState:
         def close(got, expected):
             return np.abs(got - expected).max() <= self.TOL * np.abs(expected).max()
 
-        for k, (psi_k, dpsi_k) in enumerate(evolve(op, psi0, self.N_MAX, target)):
-            assert close(psi_k, psi[:, k]), k
-            assert dpsi_k is None if target is None else close(dpsi_k, dpsi[:, k]), k
+        for k, block in enumerate(op.frame_trajectory(psi0, self.N_MAX, target)):
+            rows = block * op.frame_phase
+            assert close(rows[:, 0], psi[:, k]), k
+            assert len(rows[0]) == 1 if target is None else close(rows[:, 1], dpsi[:, k]), k
 
         observables = [total_magnetization(n)] + ([pair_correlation(n)] if n > 1 else [])
         probs = np.abs(psi) ** 2
@@ -79,23 +80,28 @@ class TestDerivativeEvolution:
         # h_x = 0 ring: d psi_n = -i 3 T2 n e^{-i 3 J T2 n} |000>
         j = 0.8
         spec = ModelSpec(n_qubits=3, h_x=0.0, couplings=j, boundary="ring")
-        for n, (_, (dpsi,)) in enumerate(evolve(spec, states.all_zero_state(3), 20, TARGET_J)):
+        steps = FloquetOperator(spec).frame_trajectory(states.all_zero_state(3), 20, TARGET_J)
+        for n, ((_, dchi),) in enumerate(steps):
+            # the frame phase is 1 on |000>
             expected = -1.5j * n * np.exp(-1.5j * j * n)
-            assert dpsi[0] == pytest.approx(expected, abs=1e-12)
-            assert np.abs(dpsi[1:]).max() < 1e-15
+            assert dchi[0] == pytest.approx(expected, abs=1e-12)
+            assert np.abs(dchi[1:]).max() < 1e-15
 
     def test_free_field_derivative_norm(self):
         # J = 0: <d psi|d psi> = n^2 T1^2 N
         spec = ModelSpec.dimensionless(3, 1.9, 0.0)
         t1 = spec.protocol.t1
-        for n, (_, (dpsi,)) in enumerate(evolve(spec, states.all_zero_state(3), 30, TARGET_HX)):
+        steps = FloquetOperator(spec).frame_trajectory(states.all_zero_state(3), 30, TARGET_HX)
+        for n, ((_, dchi),) in enumerate(steps):
             expected = 3 * (n * t1) ** 2
-            assert np.vdot(dpsi, dpsi).real == pytest.approx(expected, abs=1e-9)
+            assert np.vdot(dchi, dchi).real == pytest.approx(expected, abs=1e-9)
 
     def test_matches_finite_difference_trajectory(self, pd_spec):
         # d psi_30 against central differences of the evolved state
         delta = 1e-5
-        *_, (_, (dpsi,)) = evolve(pd_spec, states.all_zero_state(3), 30, TARGET_J)
+        op = FloquetOperator(pd_spec)
+        *_, ((_, dchi),) = op.frame_trajectory(states.all_zero_state(3), 30, TARGET_J)
+        dpsi = dchi * op.frame_phase
         up = FloquetOperator(shifted_spec(pd_spec, TARGET_J, delta))
         down = FloquetOperator(shifted_spec(pd_spec, TARGET_J, -delta))
         psi_up = states.all_zero_state(3)
@@ -112,13 +118,14 @@ class TestDerivativeEvolution:
             h, j = rng.uniform(0.3, 3.0, size=2)
             spec = ModelSpec.dimensionless(3, h, j)
             for target in (TARGET_HX, TARGET_J):
-                for psi, dpsi in evolve(spec, states.all_zero_state(3), 60, target):
-                    assert abs(np.vdot(psi, dpsi).real) < 1e-9
+                steps = FloquetOperator(spec).frame_trajectory(states.all_zero_state(3), 60, target)
+                for ((chi, dchi),) in steps:
+                    assert abs(np.vdot(chi, dchi).real) < 1e-9
 
     def test_per_bond_couplings_rejected_for_j_target(self):
         spec = ModelSpec.dimensionless(3, 1.0, [0.4, 0.5, 0.6])
         with pytest.raises(ValueError, match="uniform"):
-            list(evolve(spec, states.all_zero_state(3), 5, TARGET_J))
+            FloquetOperator(spec).frame_trajectory(states.all_zero_state(3), 5, TARGET_J)
 
 
 class TestQfiSeries:

@@ -3,7 +3,6 @@ import pytest
 from scipy.linalg import expm
 
 from floquet_ising import states
-from floquet_ising.dynamics import evolve
 from floquet_ising.model import (
     CHAIN,
     FIELD_THEN_ISING,
@@ -153,6 +152,16 @@ class TestBlockOperator:
             one_psi, one_dpsi = apply_with_derivative(FloquetOperator(spec), TARGET_J, psi[c], dpsi[c])
             assert np.abs(moved[c] - one_psi).max() <= 1e-15
             assert np.abs(derivative[c] - one_dpsi).max() <= 1e-15
+
+    def test_factors_match_one_cell_operators(self, rng):
+        # a cell's stored factors and phase do not depend on the block around it
+        for n in (1, 2, 5, 7, 12):
+            specs = [ModelSpec.dimensionless(n, h, j if n > 1 else 0.0) for h, j in rng.uniform(0, np.pi, (5, 2))]
+            block = FloquetOperator(specs)
+            for c, spec in enumerate(specs):
+                single = FloquetOperator(spec)
+                for name in ("_o_hi", "_o_lo_t", "_ising_phases"):
+                    assert np.array_equal(getattr(block, name)[c], getattr(single, name)[0]), (n, c, name)
 
     def test_mixed_blocks_rejected(self):
         base = ModelSpec.dimensionless(4, 1.0, 1.0)
@@ -326,6 +335,32 @@ class TestFactoredPeriod:
             error = np.abs(moduli[0][:, :, np.newaxis] + moduli[1][:, np.newaxis, :]).max()
             assert error <= 2e-16, (n, error)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_factors_are_sign_times_class_value(self, rng, n):
+        # entry (a, b) of a factor on k qubits is sign * m_d, with
+        # d = popcount(a ^ b), sign = (-1)^popcount(b & ~a) and m_d within an
+        # ulp or so of cos(h_x T1)^(k - d) sin(h_x T1)^d; at the first two
+        # h_x T values, entries of one class that are each built and rounded
+        # apart, in their own product order, round to different doubles
+        # (N = 7 to 11)
+        hx_t = np.concatenate(([0.3681567234411559, 5.514269118166694], rng.uniform(0, 2 * np.pi, 40)))
+        op = FloquetOperator([ModelSpec.dimensionless(n, h, 0.0) for h in hx_t])
+        t1 = op.specs[0].protocol.t1
+        angle = np.array([spec.h_x for spec in op.specs], dtype=np.longdouble)[:, np.newaxis] * t1
+        factors = (op._o_hi, op._y_hi), (op._o_lo_t.transpose(0, 2, 1).real, op._y_lo_t.T.real)
+        for factor, generator in factors:
+            size = factor.shape[-1]
+            k = size.bit_length() - 1
+            counts = np.array([bin(i).count("1") for i in range(size)])
+            a, b = np.arange(size)[:, np.newaxis], np.arange(size)
+            distance, sign = counts[a ^ b], (-1.0) ** counts[b & ~a]
+            weights = np.arange(k + 1)
+            classes = factor[:, 0, (1 << weights) - 1] * (-1.0) ** weights
+            assert np.array_equal(factor, sign * classes[:, distance]), n
+            closed = (np.cos(angle) ** (k - weights) * np.sin(angle) ** weights).astype(float)
+            assert (np.abs(classes - closed) <= 2 * np.spacing(np.abs(closed))).all(), n
+            assert np.array_equal(generator, t1 * sign * (distance == 1)), n
+
 
 def derivative(op: FloquetOperator, target: str, psi: np.ndarray) -> np.ndarray:
     """(dU_F / d theta)|psi>, the derivative row of a stacked pass with dpsi = 0."""
@@ -348,9 +383,9 @@ class TestDerivative:
         op = FloquetOperator(pd_spec)
         psi = states.all_zero_state(3)
         with pytest.raises(ValueError, match="target"):
-            evolve(op, psi, 1, "bogus")
+            op.frame_trajectory(psi, 1, "bogus")
         with pytest.raises(ValueError, match="dimension mismatch"):
-            evolve(op, states.all_zero_state(2), 1, TARGET_HX)
+            op.frame_trajectory(states.all_zero_state(2), 1, TARGET_HX)
 
     def test_diagonal_closed_form_for_coupling(self):
         # h_x = 0, ring: (dU/dJ)|000> = -i 3 T2 e^{-i 3 J T2}|000>
