@@ -3,9 +3,13 @@
 One subcommand per analysis product: evolve (stroboscopic time series),
 spectrum (power spectrum + subharmonic weight), quasi (quasienergies and
 pi-pairing), qfi / cfi (Fisher-information series + curvature fit) and
-sweep (any diagnostic over an (h_x T, J T) grid). Every run writes its
-delimited outputs plus a run.json sidecar with the fully resolved
-configuration; feeding that sidecar back via --config reproduces the run.
+sweep (any diagnostic over an (h_x T, J T) grid). A subcommand's handler
+only computes: it returns its summary scalars, its tables (file name ->
+named columns) and its JSON records. `main` resolves the configuration,
+runs the handler and only then creates the output directory and writes
+the tables, the records and a run.json sidecar with the fully resolved
+configuration and subcommand arguments, so a failed command writes
+nothing. Feeding that sidecar back via --config reproduces the run.
 """
 
 from __future__ import annotations
@@ -17,15 +21,30 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrology, output, quasienergy, spectral, sweep
-from .config import ConfigError, RunConfig
-from .dynamics import observable_by_label, stroboscopic_trajectory, total_magnetization, pair_correlation
+from .config import ConfigError, RunConfig, recorded_arguments
+from .dynamics import CZZ, MZ, observable_by_label, stroboscopic_trajectory, total_magnetization, pair_correlation
 from .errors import NumericalError
 from .model import CHAIN, RING, STEP_ORDERS, TARGETS, ModelSpec
 from .states import all_zero_state
 
+_DIAG_BY_FLAG = {
+    "weight": sweep.WEIGHT,
+    "fpi": sweep.PI_FRACTION,
+    "overlap": sweep.OVERLAP,
+    "kappa-hx": sweep.KAPPA_HX,
+    "kappa-j": sweep.KAPPA_J,
+}
+_OBSERVABLES = (MZ, CZZ)
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    """Config override flags; each flag's dest is its key in the config sections."""
+# Subcommand flags that run.json records under "arguments". A replay fills
+# each one left unset from there, then from its default (theta is required).
+_ARGUMENT_DEFAULTS = {"periods": None, "theta": None, "observable": MZ, "diag": "weight"}
+_ARGUMENT_CHOICES = {"observable": _OBSERVABLES, "diag": tuple(_DIAG_BY_FLAG)}
+
+
+def _common_flags() -> argparse.ArgumentParser:
+    """Config override flags of every subcommand; each flag's dest is its key in the config sections."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", help="config file (INI sections or a run.json sidecar)")
     model = parser.add_argument_group("model")
     model.add_argument("-N", "--n-qubits", type=int)
@@ -49,15 +68,25 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     out = parser.add_argument_group("output")
     out.add_argument("-o", "--output-dir", dest="directory")
     out.add_argument("--format", choices=["csv", "json"])
+    return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Flags over the config file over defaults; unset subcommand arguments are filled on args."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
     for section, values in config.to_dict().items():
         for key in values:
             value = getattr(args, key, None)
             if value is not None:
                 config.set(section, key, value)
+    recorded = recorded_arguments(args.config) if args.config else {}
+    for key, default in _ARGUMENT_DEFAULTS.items():
+        if key in vars(args) and getattr(args, key) is None:
+            value = recorded.get(key, default)
+            valid = value in _ARGUMENT_CHOICES[key] if key in _ARGUMENT_CHOICES else value is None or type(value) is int
+            if not valid:
+                raise ConfigError(f"{args.config}: arguments.{key} cannot be {value!r}")
+            setattr(args, key, value)
     return config.validate()
 
 
@@ -90,133 +119,93 @@ def _grid(config: RunConfig) -> sweep.GridSpec:
     )
 
 
-def _out_dir(config: RunConfig) -> Path:
-    directory = Path(config.output.directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
-def _finish(directory, command, config, summary, files) -> int:
-    sidecar = output.write_run_sidecar(
-        directory, command, config.to_dict(), summary, files, __version__
-    )
-    files = files + [sidecar]
-    for key, value in summary.items():
-        print(f"{key} = {value}")
-    print("wrote " + ", ".join(str(f) for f in files))
-    return 0
-
-
-def _cmd_evolve(args) -> int:
-    config = _resolve_config(args)
+def _cmd_evolve(config, args):
     spec = _build_model(config)
     periods = args.periods
     if periods is None:
         periods = config.analysis.transient_discard + config.analysis.spectrum_samples
-    psi0 = all_zero_state(spec.n_qubits)
     observables = [total_magnetization(spec.n_qubits)]
     if spec.n_qubits >= 2:
         observables.append(pair_correlation(spec.n_qubits))
-    series = stroboscopic_trajectory(spec, psi0, periods, observables)
-    directory = _out_dir(config)
-    files = [output.write_time_series(directory, s, config.output.format) for s in series]
-    summary = {"periods": periods}
-    for s in series:
-        summary[f"{s.label}_final"] = float(s.values[-1])
-    return _finish(directory, "evolve", config, summary, files)
+    series = stroboscopic_trajectory(spec, all_zero_state(spec.n_qubits), periods, observables)
+    summary = {"periods": periods, **{f"{s.label}_final": float(s.values[-1]) for s in series}}
+    return summary, {f"{s.label}.csv": {"n": s.times, "value": s.values} for s in series}, {}
 
 
-def _cmd_spectrum(args) -> int:
-    config = _resolve_config(args)
+def _cmd_spectrum(config, args):
     spec = _build_model(config)
     discard = config.analysis.transient_discard
     samples = config.analysis.spectrum_samples
-    psi0 = all_zero_state(spec.n_qubits)
     series = stroboscopic_trajectory(
-        spec, psi0, discard + samples, [total_magnetization(spec.n_qubits)]
+        spec, all_zero_state(spec.n_qubits), discard + samples, [total_magnetization(spec.n_qubits)]
     )[0]
     diagnostic = spectral.subharmonic_weight(series, discard, samples)
-    directory = _out_dir(config)
-    files = [output.write_spectrum(directory, diagnostic.spectrum, config.output.format)]
-    dominant = int(1 + np.argmax(diagnostic.spectrum.powers[1:]))
+    spectrum = diagnostic.spectrum
     summary = {
         "weight": diagnostic.weight,
-        "dominant_bin": dominant,
+        "dominant_bin": int(1 + np.argmax(spectrum.powers[1:])),
         "subharmonic_bin": samples // 2,
     }
-    return _finish(directory, "spectrum", config, summary, files)
+    table = {"k": np.arange(spectrum.sample_count), "f_k": spectrum.frequencies, "P_k": spectrum.powers}
+    return summary, {"spectrum.csv": table}, {}
 
 
-def _cmd_quasi(args) -> int:
-    config = _resolve_config(args)
+def _cmd_quasi(config, args):
     spec = _build_model(config)
-    psi0 = all_zero_state(spec.n_qubits)
-    analysis, overlap = quasienergy.analyze(spec, psi0, config.pair_tolerance())
-    directory = _out_dir(config)
-    files = output.write_quasienergies(directory, analysis, config.output.format)
-    files.append(
-        output.write_quasi_summary(directory, analysis.pair_fraction, overlap, config.output.format)
-    )
+    analysis, overlap = quasienergy.analyze(spec, all_zero_state(spec.n_qubits), config.pair_tolerance())
+    pairs = np.array(analysis.pairs, dtype=int).reshape(-1, 2)
+    tables = {
+        "quasienergies.csv": {"alpha": np.arange(len(analysis.epsilons)), "epsilon": analysis.epsilons},
+        "pairs.csv": {"pair_i": pairs[:, 0], "pair_j": pairs[:, 1], "gap": analysis.gaps},
+        "summary.csv": {"f_pi": [analysis.pair_fraction], "W_overlap": [overlap]},
+    }
     summary = {
         "f_pi": analysis.pair_fraction,
         "w_overlap": overlap,
         "n_pairs": len(analysis.pairs),
         "health": {"modulus_error": analysis.modulus_error, "residual": analysis.residual},
     }
-    return _finish(directory, "quasi", config, summary, files)
+    return summary, tables, {}
+
+
+def _fisher_table(series: metrology.FisherSeries) -> dict:
+    name = "_".join(filter(None, (series.kind, series.target, series.observable)))
+    columns = {"n": series.times, "t": series.times * series.period, "value": series.values, "flag": series.flags}
+    return {f"{name}.csv": columns}
 
 
 def _fisher_summary(fit: metrology.CurvatureFit) -> dict:
+    """The fit record: the run summary and curvature.json."""
     return {"a": fit.a, "b": fit.b, "c": fit.c, "kappa": fit.a,
             "rms": fit.rms_residual, "window": list(fit.window)}
 
 
-def _cmd_qfi(args) -> int:
-    config = _resolve_config(args)
+def _cmd_qfi(config, args):
     spec = _build_model(config)
-    psi0 = all_zero_state(spec.n_qubits)
-    series = metrology.qfi_series(spec, args.theta, psi0, config.analysis.n_max)
-    fit = metrology.curvature_fit(series, config.analysis.fit_window)
-    directory = _out_dir(config)
-    files = [
-        output.write_fisher_series(directory, series, config.output.format),
-        output.write_curvature(directory, fit),
-    ]
-    return _finish(directory, "qfi", config, _fisher_summary(fit), files)
+    series = metrology.qfi_series(spec, args.theta, all_zero_state(spec.n_qubits), config.analysis.n_max)
+    record = _fisher_summary(metrology.curvature_fit(series, config.analysis.fit_window))
+    return record, _fisher_table(series), {"curvature.json": record}
 
 
-def _cmd_cfi(args) -> int:
-    config = _resolve_config(args)
+def _cmd_cfi(config, args):
     spec = _build_model(config)
-    psi0 = all_zero_state(spec.n_qubits)
     observable = observable_by_label(args.observable, spec.n_qubits)
-    series = metrology.cfi_series(spec, args.theta, observable, psi0, config.analysis.n_max)
-    directory = _out_dir(config)
-    files = [output.write_fisher_series(directory, series, config.output.format)]
+    series = metrology.cfi_series(
+        spec, args.theta, observable, all_zero_state(spec.n_qubits), config.analysis.n_max
+    )
     try:
-        fit = metrology.curvature_fit(series, config.analysis.fit_window)
+        record = _fisher_summary(metrology.curvature_fit(series, config.analysis.fit_window))
     except ValueError:
         # too few defined points (e.g. a variance-degenerate observable)
-        summary = {"fit": "skipped: too few defined points"}
+        summary, records = {"fit": "skipped: too few defined points"}, {}
     else:
-        files.append(output.write_curvature(directory, fit))
-        summary = _fisher_summary(fit)
+        summary, records = dict(record), {"curvature.json": record}
     summary["undefined_points"] = int(np.sum(series.flags == metrology.FLAG_UNDEFINED))
     summary["divergent_points"] = int(np.sum(series.flags == metrology.FLAG_DIVERGENT))
-    return _finish(directory, "cfi", config, summary, files)
+    return summary, _fisher_table(series), records
 
 
-_DIAG_BY_FLAG = {
-    "weight": sweep.WEIGHT,
-    "fpi": sweep.PI_FRACTION,
-    "overlap": sweep.OVERLAP,
-    "kappa-hx": sweep.KAPPA_HX,
-    "kappa-j": sweep.KAPPA_J,
-}
-
-
-def _cmd_sweep(args) -> int:
-    config = _resolve_config(args)
+def _cmd_sweep(config, args):
     diagnostic = _DIAG_BY_FLAG[args.diag]
     grid = _grid(config)
     settings = sweep.SweepSettings(
@@ -230,8 +219,6 @@ def _cmd_sweep(args) -> int:
     diagram = sweep.sweep_diagnostic(grid, diagnostic, settings)
     if diagnostic == sweep.WEIGHT:
         sweep.classify_pd(diagram, config.analysis.pd_threshold)
-    directory = _out_dir(config)
-    files = [output.write_diagram(directory, diagram, config.output.format)]
     finite = diagram.values[np.isfinite(diagram.values)]
     summary = {
         "diagnostic": diagnostic,
@@ -243,7 +230,7 @@ def _cmd_sweep(args) -> int:
     if diagram.classification is not None:
         summary["pd_cells"] = int(diagram.classification.sum())
         summary["pd_threshold"] = config.analysis.pd_threshold
-    return _finish(directory, "sweep", config, summary, files)
+    return summary, {f"sweep_{diagram.field_name}.csv": diagram.columns()}, {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,28 +241,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    common = [_common_flags()]
 
-    evolve = commands.add_parser("evolve", help="stroboscopic M_z and C_zz time series")
+    evolve = commands.add_parser("evolve", parents=common, help="stroboscopic M_z and C_zz time series")
     evolve.add_argument("--periods", type=int, help="number of driving periods (default discard+samples)")
     evolve.set_defaults(handler=_cmd_evolve)
 
-    spectrum = commands.add_parser("spectrum", help="power spectrum and subharmonic weight")
+    spectrum = commands.add_parser("spectrum", parents=common, help="power spectrum and subharmonic weight")
     spectrum.set_defaults(handler=_cmd_spectrum)
 
-    quasi = commands.add_parser("quasi", help="quasienergies, pi-pairs, overlap weight")
+    quasi = commands.add_parser("quasi", parents=common, help="quasienergies, pi-pairs, overlap weight")
     quasi.set_defaults(handler=_cmd_quasi)
 
-    qfi = commands.add_parser("qfi", help="quantum Fisher information series + curvature fit")
+    qfi = commands.add_parser("qfi", parents=common, help="quantum Fisher information series + curvature fit")
     qfi.add_argument("--theta", choices=list(TARGETS), required=True, help="estimation target")
     qfi.set_defaults(handler=_cmd_qfi)
 
-    cfi = commands.add_parser("cfi", help="classical Fisher information series + curvature fit")
+    cfi = commands.add_parser("cfi", parents=common, help="classical Fisher information series + curvature fit")
     cfi.add_argument("--theta", choices=list(TARGETS), required=True, help="estimation target")
-    cfi.add_argument("--observable", choices=["mz", "czz"], default="mz")
+    cfi.add_argument("--observable", choices=_OBSERVABLES, help="measured observable (default mz)")
     cfi.set_defaults(handler=_cmd_cfi)
 
-    sweep_cmd = commands.add_parser("sweep", help="evaluate a diagnostic over an (h_x T, J T) grid")
-    sweep_cmd.add_argument("--diag", choices=list(_DIAG_BY_FLAG), default="weight")
+    sweep_cmd = commands.add_parser("sweep", parents=common, help="evaluate a diagnostic over an (h_x T, J T) grid")
+    sweep_cmd.add_argument("--diag", choices=list(_DIAG_BY_FLAG), help="diagnostic (default weight)")
     grid = sweep_cmd.add_argument_group("grid")
     grid.add_argument("--h-min", type=float)
     grid.add_argument("--h-max", type=float)
@@ -285,17 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--j-count", type=int)
     grid.add_argument("--workers", type=int, help="parallel worker processes (default 1)")
     sweep_cmd.set_defaults(handler=_cmd_sweep)
-
-    for sub in (evolve, spectrum, quasi, qfi, cfi, sweep_cmd):
-        _add_common_flags(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        config = _resolve_config(args)
+        summary, tables, records = args.handler(config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -303,6 +288,18 @@ def main(argv: list[str] | None = None) -> int:
         label = "numerical error" if isinstance(exc, NumericalError) else "error"
         print(f"{label}: {exc}", file=sys.stderr)
         return 1
+    directory = Path(config.output.directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    files = [output.write_table(directory / name, columns, config.output.format) for name, columns in tables.items()]
+    files += [output.write_json(directory / name, record) for name, record in records.items()]
+    arguments = {key: getattr(args, key) for key in _ARGUMENT_DEFAULTS if key in vars(args)}
+    files.append(output.write_run_sidecar(
+        directory, args.command, config.to_dict(), arguments, summary, files, __version__
+    ))
+    for key, value in summary.items():
+        print(f"{key} = {value}")
+    print("wrote " + ", ".join(str(f) for f in files))
+    return 0
 
 
 if __name__ == "__main__":

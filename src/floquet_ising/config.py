@@ -3,7 +3,9 @@
 Config files are plain INI text ([model] / [analysis] / [sweep] / [output]
 sections, key = value lines, # comments). The resolved configuration is
 echoed into every run's JSON sidecar, and that sidecar is itself accepted
-back as a config file, so any run can be reproduced from its own output.
+back as a config file, so any run can be reproduced from its own output;
+the subcommand flags it records under "arguments" are read by
+recorded_arguments.
 """
 
 from __future__ import annotations
@@ -69,6 +71,12 @@ _SECTION_TYPES = {
 
 class ConfigError(ValueError):
     """A config file or override could not be parsed."""
+
+
+def recorded_arguments(path: str | Path) -> dict:
+    """The subcommand arguments a run.json sidecar records; {} for any other config file."""
+    text = Path(path).read_text()
+    return json.loads(text).get("arguments", {}) if text.lstrip().startswith("{") else {}
 
 
 def _parse_value(raw: str, kind: type, where: str):

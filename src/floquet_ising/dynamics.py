@@ -36,21 +36,17 @@ def total_magnetization(n_qubits: int) -> DiagonalObservable:
     return DiagonalObservable(MZ, diag)
 
 
-def pair_correlation(
-    n_qubits: int, pairs: list[tuple[int, int]] | None = None
-) -> DiagonalObservable:
-    """C_zz = sum over listed pairs of sigma_z^i sigma_z^j.
+def pair_correlation(n_qubits: int) -> DiagonalObservable:
+    """C_zz = sum of sigma_z^i sigma_z^(i+1) over the nearest-neighbour pairs i = 1..N-1.
 
-    Defaults to the nearest-neighbour pairs (i, i+1), i = 1..N-1, for any
-    boundary condition: for three qubits that is (1,2) and (2,3).
+    The pairs are the same for any boundary condition: for three qubits
+    they are (1,2) and (2,3).
     """
     if n_qubits < 2:
         raise ValueError("pair correlations require at least 2 qubits")
-    if pairs is None:
-        pairs = [(i, i + 1) for i in range(1, n_qubits)]
     diag = np.zeros(1 << n_qubits)
-    for i, j in pairs:
-        diag += states.z_values(n_qubits, i) * states.z_values(n_qubits, j)
+    for i in range(1, n_qubits):
+        diag += states.z_values(n_qubits, i) * states.z_values(n_qubits, i + 1)
     return DiagonalObservable(CZZ, diag)
 
 

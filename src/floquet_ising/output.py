@@ -1,9 +1,10 @@
-"""CSV/JSON emission for every analysis product.
+"""CSV/JSON encoding of the tables and records a command returns.
 
-Floats are written with 17 significant digits so files round-trip the
-underlying doubles exactly; repeated runs of a deterministic pipeline
-produce byte-identical outputs. JSON has no NaN or Infinity, so a
-non-finite float is written as null there (CSV keeps nan).
+A table is named columns (numpy arrays or lists) of equal length. Floats
+are written with 17 significant digits so files round-trip the underlying
+doubles exactly; repeated runs of a deterministic pipeline produce
+byte-identical outputs. JSON has no NaN or Infinity, so a non-finite float
+is written as null there (CSV keeps nan).
 """
 
 from __future__ import annotations
@@ -15,133 +16,54 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import TimeSeries
-from .metrology import CurvatureFit, FisherSeries
-from .quasienergy import QuasienergyAnalysis
-from .spectral import PowerSpectrum
-from .sweep import PhaseDiagram
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
 
 def _json_value(value):
-    """A value as JSON takes it: floats as Python floats, non-finite ones as None (null)."""
-    if isinstance(value, (float, np.floating)):
-        return float(value) if math.isfinite(value) else None
+    """A value as JSON takes it: non-finite floats as None (null), containers item by item."""
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
+def write_json(path: Path, payload) -> Path:
+    """One JSON document (a record, or a table's list of row objects), non-finite floats as null."""
+    path.write_text(json.dumps(_json_value(payload), indent=1, allow_nan=False) + "\n")
+    return path
 
 
-def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> Path:
+def write_table(path: Path, columns: dict, fmt: str) -> Path:
+    """One row per index of the columns; JSON gives a list of row objects at path.json."""
+    arrays = {name: np.asarray(column) for name, column in columns.items()}
     if fmt == "json":
-        path = path.with_suffix(".json")
-        _write_json(path, [{key: _json_value(v) for key, v in zip(header, row)} for row in rows])
-        return path
+        rows = zip(*(a.tolist() for a in arrays.values()))
+        return write_json(path.with_suffix(".json"), [dict(zip(arrays, row)) for row in rows])
+    text = [[format(v, ".17g") for v in a.tolist()] if a.dtype.kind == "f" else a.tolist() for a in arrays.values()]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(arrays)
+        writer.writerows(zip(*text))
     return path
-
-
-def write_time_series(directory: Path, series: TimeSeries, fmt: str = "csv") -> Path:
-    rows = [[int(n), float(v)] for n, v in zip(series.times, series.values)]
-    return _write_table(directory / f"{series.label}.csv", ["n", "value"], rows, fmt)
-
-
-def write_spectrum(directory: Path, spectrum: PowerSpectrum, fmt: str = "csv") -> Path:
-    rows = [
-        [k, float(f), float(p)]
-        for k, (f, p) in enumerate(zip(spectrum.frequencies, spectrum.powers))
-    ]
-    return _write_table(directory / "spectrum.csv", ["k", "f_k", "P_k"], rows, fmt)
-
-
-def write_quasienergies(
-    directory: Path, analysis: QuasienergyAnalysis, fmt: str = "csv"
-) -> list[Path]:
-    eps_rows = [[alpha, float(e)] for alpha, e in enumerate(analysis.epsilons)]
-    pair_rows = [
-        [i, j, float(g)] for (i, j), g in zip(analysis.pairs, analysis.gaps)
-    ]
-    return [
-        _write_table(directory / "quasienergies.csv", ["alpha", "epsilon"], eps_rows, fmt),
-        _write_table(directory / "pairs.csv", ["pair_i", "pair_j", "gap"], pair_rows, fmt),
-    ]
-
-
-def write_quasi_summary(
-    directory: Path, pair_fraction: float, overlap: float, fmt: str = "csv"
-) -> Path:
-    rows = [[float(pair_fraction), float(overlap)]]
-    return _write_table(directory / "summary.csv", ["f_pi", "W_overlap"], rows, fmt)
-
-
-def write_fisher_series(directory: Path, series: FisherSeries, fmt: str = "csv") -> Path:
-    name = series.kind + "_" + series.target
-    if series.observable:
-        name += "_" + series.observable
-    rows = [
-        [int(n), float(n * series.period), float(v), flag]
-        for n, v, flag in zip(series.times, series.values, series.flags)
-    ]
-    return _write_table(directory / f"{name}.csv", ["n", "t", "value", "flag"], rows, fmt)
-
-
-def write_curvature(directory: Path, fit: CurvatureFit) -> Path:
-    path = directory / "curvature.json"
-    record = {
-        "a": _json_value(fit.a),
-        "b": _json_value(fit.b),
-        "c": _json_value(fit.c),
-        "kappa": _json_value(fit.a),
-        "rms": _json_value(fit.rms_residual),
-        "window": list(fit.window),
-    }
-    _write_json(path, record)
-    return path
-
-
-def write_diagram(directory: Path, diagram: PhaseDiagram, fmt: str = "csv") -> Path:
-    header = ["hxT", "JT", "value"]
-    if diagram.classification is not None:
-        header.append("pd_flag")
-    rows = []
-    h_values = diagram.grid.h_values()
-    j_values = diagram.grid.j_values()
-    for i, h in enumerate(h_values):
-        for j, jt in enumerate(j_values):
-            row = [float(h), float(jt), float(diagram.values[i, j])]
-            if diagram.classification is not None:
-                row.append(int(diagram.classification[i, j]))
-            rows.append(row)
-    return _write_table(directory / f"sweep_{diagram.field_name}.csv", header, rows, fmt)
 
 
 def write_run_sidecar(
     directory: Path,
     command: str,
     config_dict: dict,
+    arguments: dict,
     summary: dict,
     outputs: list[Path],
     version: str,
 ) -> Path:
-    path = directory / "run.json"
     payload = {
         "tool": "floquet-ising",
         "version": version,
         "command": command,
         "config": config_dict,
-        "summary": {key: _json_value(value) for key, value in summary.items()},
+        "arguments": arguments,
+        "summary": summary,
         "outputs": [p.name for p in outputs],
     }
-    _write_json(path, payload)
-    return path
+    return write_json(directory / "run.json", payload)

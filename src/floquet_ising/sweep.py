@@ -102,6 +102,14 @@ class PhaseDiagram:
     values: np.ndarray
     classification: np.ndarray | None = field(default=None)
 
+    def columns(self) -> dict:
+        """One row per cell, h_x T outer: hxT, JT, value and, once classified, pd_flag."""
+        h, j = np.meshgrid(self.grid.h_values(), self.grid.j_values(), indexing="ij")
+        columns = {"hxT": h.ravel(), "JT": j.ravel(), "value": self.values.ravel()}
+        if self.classification is not None:
+            columns["pd_flag"] = self.classification.ravel().astype(int)
+        return columns
+
 
 def _cell_value(task: tuple) -> float:
     """Evaluate an eigen diagnostic at one grid cell; nan on a numerical failure."""

@@ -18,7 +18,7 @@ from floquet_ising import states
 from floquet_ising.dynamics import magnetization_series, pair_correlation, total_magnetization
 from floquet_ising.metrology import cfi_series, curvature_fit, qfi_series
 from floquet_ising.model import TARGET_HX, TARGET_J, FloquetOperator, ModelSpec
-from floquet_ising.output import write_diagram
+from floquet_ising.output import write_table
 from floquet_ising.spectral import power_spectrum, subharmonic_band, subharmonic_weight
 from floquet_ising.sweep import GridSpec, SweepSettings, sweep_diagnostic
 
@@ -273,8 +273,7 @@ def test_c11_larger_chains_persistence():
     for n_qubits in (4, 5):
         grid = GridSpec(n_qubits=n_qubits)
         diagram = sweep_diagnostic(grid, "weight", settings)
-        write_diagram(ARTIFACT_DIR, diagram)
-        (ARTIFACT_DIR / "sweep_weight.csv").rename(ARTIFACT_DIR / f"weight_n{n_qubits}.csv")
+        write_table(ARTIFACT_DIR / f"weight_n{n_qubits}.csv", diagram.columns(), "csv")
         weights = diagram.values
         assert (weights >= 0.8).sum() > 0  # non-empty PD region
 
@@ -302,8 +301,7 @@ def test_c11_larger_chains_persistence():
     for name in ("kappa_hx", "kappa_j"):
         diagram = sweep_diagnostic(grid7, name, SweepSettings(workers=WORKERS))
         assert np.isfinite(diagram.values).all()
-        write_diagram(ARTIFACT_DIR, diagram)
-        (ARTIFACT_DIR / f"sweep_{name}.csv").rename(ARTIFACT_DIR / f"{name}_n7.csv")
+        write_table(ARTIFACT_DIR / f"{name}_n7.csv", diagram.columns(), "csv")
     elapsed = time.perf_counter() - start
     assert elapsed < 1800
     report(11, f"N=4/5 PD regions non-empty with anchor-pair kappa contrasts; "

@@ -176,6 +176,41 @@ class TestCommands:
         assert main(args + ["-o", str(tmp_path / "csv")]) == 0
         assert read_csv(tmp_path / "csv" / "cfi_hx_czz.csv")[0]["value"] == "nan"
 
+    @pytest.mark.parametrize("args", [
+        ["evolve", "--periods", "20"],
+        ["spectrum", "--samples", "16", "--discard", "4"],
+        ["quasi"],
+        ["qfi", "--theta", "hx", "--n-max", "30"],
+        ["cfi", "--theta", "hx", "--observable", "czz", "--n-max", "20"],
+        ["sweep", "--h-count", "3", "--j-count", "2", "--samples", "16", "--discard", "4"],
+    ], ids=lambda args: args[0])
+    def test_csv_and_json_tables_agree(self, tmp_path, args):
+        # value for value, null for nan, and every CSV number in its .17g spelling
+        assert main(args + ["-o", str(tmp_path / "csv")]) == 0
+        assert main(args + ["--format", "json", "-o", str(tmp_path / "json")]) == 0
+        json_only = {"run.json", "curvature.json"}
+        tables = sorted(p.stem for p in (tmp_path / "csv").glob("*.csv"))
+        assert tables == sorted(p.stem for p in (tmp_path / "json").glob("*.json") if p.name not in json_only)
+        for stem in tables:
+            rows = read_csv(tmp_path / "csv" / f"{stem}.csv")
+            records = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+            assert len(rows) == len(records) > 0
+            for row, record in zip(rows, records):
+                assert list(row) == list(record)
+                for token, value in zip(row.values(), record.values()):
+                    try:
+                        number = float(token)
+                    except ValueError:
+                        assert token == value
+                        continue
+                    assert token == format(number, ".17g")
+                    assert not math.isfinite(number) if value is None else number == value
+        for name in json_only & {p.name for p in (tmp_path / "csv").iterdir()}:
+            csv_record, json_record = (json.loads((tmp_path / fmt / name).read_text()) for fmt in ("csv", "json"))
+            if name == "run.json":
+                csv_record, json_record = csv_record["summary"], json_record["summary"]
+            assert csv_record == json_record
+
     def test_config_file_plus_flag_override(self, tmp_path):
         ini = tmp_path / "config.ini"
         ini.write_text("[model]\nhx_t = 1.0\nj_t = 0.5\n[analysis]\nn_max = 25\n")
@@ -196,6 +231,33 @@ class TestCommands:
         a = (out_a / "spectrum.csv").read_bytes()
         b = (out_b / "spectrum.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("args, table", [
+        (["evolve", "--periods", "40"], "mz.csv"),
+        (["cfi", "--theta", "hx", "--observable", "czz", "--n-max", "30"], "cfi_hx_czz.csv"),
+        (["sweep", "--diag", "kappa-j", "--h-count", "2", "--j-count", "3", "--n-max", "30"], "sweep_kappa_j.csv"),
+    ], ids=["evolve-periods", "cfi-observable", "sweep-diag"])
+    def test_sidecar_replays_subcommand_flags(self, tmp_path, args, table):
+        assert main(args + ["-o", str(tmp_path / "a")]) == 0
+        theta = args[1:3] if args[0] == "cfi" else []  # a required flag is given again
+        assert main([args[0], *theta, "--config", str(tmp_path / "a" / "run.json"), "-o", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / table).read_bytes() == (tmp_path / "b" / table).read_bytes()
+        recorded = json.loads((tmp_path / "b" / "run.json").read_text())["arguments"]
+        assert recorded == json.loads((tmp_path / "a" / "run.json").read_text())["arguments"]
+
+    def test_flag_wins_over_sidecar_arguments(self, tmp_path):
+        assert main(["evolve", "--periods", "40", "-o", str(tmp_path / "a")]) == 0
+        assert main(["evolve", "--periods", "7", "--config", str(tmp_path / "a" / "run.json"),
+                     "-o", str(tmp_path / "b")]) == 0
+        assert len(read_csv(tmp_path / "b" / "mz.csv")) == 8
+        assert json.loads((tmp_path / "b" / "run.json").read_text())["arguments"] == {"periods": 7}
+
+    def test_bad_sidecar_argument_is_usage_error(self, tmp_path, capsys):
+        sidecar = tmp_path / "run.json"
+        sidecar.write_text(json.dumps({"config": RunConfig().to_dict(), "arguments": {"diag": "bogus"}}))
+        assert main(["sweep", "--config", str(sidecar), "-o", str(tmp_path / "out")]) == 2
+        assert "arguments.diag" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_is_usage_error(self, tmp_path, capsys):
         ini = tmp_path / "bad.ini"
@@ -238,11 +300,16 @@ class TestCommands:
         assert "h_max must be finite" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
-    def test_zero_periods_is_rejected(self, tmp_path, capsys):
-        code = main(["evolve", "--periods", "0", "-o", str(tmp_path / "evolve")])
-        assert code == 1
-        assert "n_max must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "evolve").exists()
+    @pytest.mark.parametrize("args, code, message", [
+        (["evolve", "--periods", "0"], 1, "n_max must be >= 1"),
+        (["qfi", "--theta", "j", "--couplings", "1,2,3"], 1, "uniform"),
+        (["quasi", "-N", "2", "--boundary", "ring"], 1, "ring"),
+        (["sweep", "--couplings", "1,2"], 2, "couplings"),
+    ], ids=["zero-periods", "qfi-per-bond", "quasi-ring-n2", "sweep-couplings"])
+    def test_failed_command_writes_nothing(self, tmp_path, capsys, args, code, message):
+        assert main(args + ["-o", str(tmp_path / "out")]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_periods_are_rejected_before_any_work(self, tmp_path, capsys):
         code = main(["evolve", "--periods", "-2", "-o", str(tmp_path / "evolve")])

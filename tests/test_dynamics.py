@@ -19,16 +19,11 @@ class TestObservables:
         assert np.array_equal(diag, [3, 1, 1, -1, 1, -1, -1, -3])
 
     def test_pair_correlation_uses_chain_pairs(self):
-        # default pairs for N=3 are (1,2) and (2,3); |000> gives 2
+        # the pairs for N=3 are (1,2) and (2,3); |000> gives 2
         diag = pair_correlation(3).diag
         assert diag[0] == 2.0
         assert diag[0b101] == -2.0  # both pairs anti-aligned
         assert diag[0b100] == 0.0
-
-    def test_custom_pairs(self):
-        diag = pair_correlation(3, pairs=[(1, 3)]).diag
-        assert diag[0b101] == 1.0
-        assert diag[0b100] == -1.0
 
 
 class TestTrajectory:
