@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -276,8 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = lru_cache(maxsize=1)(build_parser)  # built once per process; parse_args leaves a parser as it was
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _resolve_config(args)
         summary, tables, records = args.handler(config, args)

@@ -4,27 +4,27 @@ Each driving period of length T alternates two steps: a global x-field
 pulse, exp(-i h_x T1 sum_i sigma_x^i), and an Ising interaction step,
 exp(-i T2 sum_bonds J_b sigma_z^i sigma_z^j). The field pulse is the
 N-fold Kronecker power of the one-qubit rotation exp(-i h_x T1 sigma_x),
-so on a state's amplitudes, read as a (2^(N//2), 2^(N - N//2)) grid, it is
-F_hi @ grid @ F_lo^T with F_hi and F_lo the powers on the top and bottom
-qubits. The interaction is a diagonal phase in the Z basis. A period is
-therefore two small matrix products and one phase, O(2^(3N/2)).
+so it splits into max(2, ceil(N/4)) factors F_i on k_i <= 4 consecutive
+qubits, balanced and smaller first (N//2 and N - N//2 for N <= 8), each
+applied to its axis of a state's amplitudes read as a grid with one axis
+per factor. With the Z-basis Ising phase, a period is O(2^N sum_i 2^k_i).
 
 The recurrence runs in the frame chi = L^-1 psi, L = diag((-i)^popcount),
 the phase gate diag(1, i) on every qubit undone. There the field pulse is
-the real rotation exp(-i h_x T1 sum_i sigma_y^i), so its factors O_hi and
-O_lo are real and the left product is a real one, and the h_x derivative
-of the step is the real generator T1 sum_i (-i sigma_y^i) applied to its
-output. L commutes with the Ising phase and with every Z-basis
-observable and does not depend on h_x or J, so probabilities, the QFI and
-the CFI of a diagonal observable read the same on frame states; only
-apply and _period take states back out of the frame. The J derivative of
-the Ising step is the same phase times a diagonal generator.
+the real rotation exp(-i h_x T1 sum_i sigma_y^i), so its factors O_i are
+real, and the h_x derivative of the step is the real generator
+T1 sum_i (-i sigma_y^i) applied to its output. L commutes with the Ising
+phase and with every Z-basis observable and does not depend on h_x or J,
+so probabilities, the QFI and the CFI of a diagonal observable read the
+same on frame states; only apply and _period take states back out of the
+frame. The J derivative of the Ising step is the same phase times a
+diagonal generator.
 
 An entry (a, b) of a factor on k qubits depends on its Hamming class
 d = popcount(a ^ b) alone: it is sign * m_d, with the real class value
 m_d = cos(h_x T1)^(k - d) sin(h_x T1)^d and sign = (-1)^popcount(b & ~a).
 The k + 1 class values are taken in extended precision and rounded to
-doubles together, so that F_hi (x) F_lo stays unitary to about one
+doubles together, so that the factors' product stays unitary to about one
 rounding, which keeps a state's norm from drifting over long runs; each
 factor is then gathered from them through its (distance, sign) table.
 
@@ -37,7 +37,7 @@ spec is the block of one cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate
 from typing import Iterator, Sequence
 
@@ -205,8 +205,7 @@ def _class_values(c: np.ndarray, s: np.ndarray, k: int) -> np.ndarray:
 
 
 def _rounded_field_factors(angle: np.ndarray, classes: list[np.ndarray]) -> list[np.ndarray]:
-    """The extended-precision class values [m_hi, m_lo] of the field factors,
-    rounded to doubles so that F_hi (x) F_lo stays unitary.
+    """The extended-precision class values of the field factors, rounded to doubles so that their product stays unitary.
 
     An entry of a factor F on k qubits is (-i)^d m_d, and so is its rounding
     error, with d the distance of row and column, so both are diagonal in
@@ -216,8 +215,8 @@ def _rounded_field_factors(angle: np.ndarray, classes: list[np.ndarray]) -> list
     nearest double, the moduli miss 1 by up to a few ulps, the same way
     every period, and a state's norm drifts. So each class goes to the
     nearest double or to the other neighbour, as bit d of a choice says, and
-    each cell takes the pair of choices whose product eigenvalues have the
-    smallest largest modulus error, to first order.
+    each cell takes the choices, one per factor, whose product eigenvalues
+    have the smallest largest modulus error, to first order.
     """
     neighbours, highs, lows = [], [], []
     for exact in classes:
@@ -236,11 +235,10 @@ def _rounded_field_factors(angle: np.ndarray, classes: list[np.ndarray]) -> list
         neighbours.append(choices)
         highs.append(moduli.max(axis=1))
         lows.append(moduli.min(axis=1))
-    # worst[cell, i_hi, i_lo]: the largest |m_hi + m_lo| over the product's eigenvalues
-    worst = np.maximum(
-        highs[0][:, :, np.newaxis] + highs[1][:, np.newaxis], -(lows[0][:, :, np.newaxis] + lows[1][:, np.newaxis])
-    )
-    picks = np.unravel_index(np.argmin(worst.reshape(len(worst), -1), axis=1), worst.shape[1:])
+    # worst[cell, (i_0, i_1, ...)]: the largest |sum of modulus errors| over the product's eigenvalues
+    outer_sum = partial(reduce, lambda a, b: (a[:, :, np.newaxis] + b[:, np.newaxis]).reshape(len(a), -1))
+    worst = np.maximum(outer_sum(highs), -outer_sum(lows))
+    picks = np.unravel_index(np.argmin(worst, axis=1), [high.shape[1] for high in highs])
     return [
         np.where((pick[:, np.newaxis] >> np.arange(nearest.shape[-1])) & 1, other, nearest)
         for pick, (nearest, other) in zip(picks, neighbours)
@@ -289,22 +287,24 @@ class FloquetOperator:
         self._ising_phases = np.exp(-1j * p.t2 * zz_weighted)
         self._ising_generator = -1j * p.t2 * zz_plain
 
-        # the real field factors O = sign * m[distance] in the frame, from
-        # the rounded class values m_d = c^(k - d) s^d (module docstring), and
+        # the real field factors O = sign * m[distance] in the frame, top
+        # qubits first, from the rounded class values (module docstring), and
         # the h_x generator factors T1 * sign on distance 1, the frame's
-        # -i T1 L^-1 sum_i sigma_x^i L. A (x) B acts on a grid as
-        # A @ grid @ B^T; the right factors multiply complex grids, so they
-        # are stored transposed and as complex, which spares a cast per product.
+        # -i T1 L^-1 sum_i sigma_x^i L. The last ones multiply the complex
+        # minor axis, so they are stored transposed and as complex.
         angle = np.array([spec.h_x for spec in self.specs], dtype=np.longdouble)[:, np.newaxis] * p.t1
         c, s = np.cos(angle), np.sin(angle)
-        sizes = n // 2, n - n // 2  # F_hi acts on the top N//2 qubits, F_lo on the rest
-        m_hi, m_lo = _rounded_field_factors(angle.astype(float), [_class_values(c, s, k) for k in sizes])
-        (distance_hi, sign_hi), (distance_lo, sign_lo) = (_class_table(k) for k in sizes)
+        count = max(2, -(-n // 4))  # the factors' qubit counts, top first (module docstring)
+        sizes = [n // count + (i >= count - n % count) for i in range(count)]
+        values = _rounded_field_factors(angle.astype(float), [_class_values(c, s, k) for k in sizes])
+        self._factors = [sign * np.take(m, d, axis=1) for m, (d, sign) in zip(values, map(_class_table, sizes))]
+        self._generators = [p.t1 * sign * (d == 1) for d, sign in map(_class_table, sizes)]
+        for stored in (self._factors, self._generators):
+            stored[-1] = stored[-1].swapaxes(-1, -2).astype(np.complex128)
         self.frame_phase = np.array([1, -1j, -1, 1j])[states.popcounts(n) % 4]
-        self._o_hi = sign_hi * np.take(m_hi, distance_hi, axis=1)
-        self._o_lo_t = (sign_lo * np.take(m_lo, distance_lo, axis=1)).transpose(0, 2, 1).astype(np.complex128)
-        self._y_hi = p.t1 * sign_hi * (distance_hi == 1)
-        self._y_lo_t = (p.t1 * sign_lo * (distance_lo == 1)).T.astype(np.complex128)
+        # each non-minor axis of a row's grid as (length, floats after it in the float view)
+        self._axes = [(1 << k, 2 * self.dim >> total) for k, total in zip(sizes[:-1], accumulate(sizes))]
+        self._minor = 1 << sizes[-2], 1 << sizes[-1]  # the lengths of its two minor axes
         self._field_first = p.step_order == FIELD_THEN_ISING
 
     def _require_one_cell(self) -> None:
@@ -330,26 +330,32 @@ class FloquetOperator:
             raise ValueError("J-derivative requires uniform couplings")
 
     def _field(self, block: np.ndarray, target: str | None) -> np.ndarray:
-        """The field step in the frame on every row: O_hi @ grid @ O_lo^T on the row's (2^(N//2), 2^(N - N//2)) grid.
+        """The field step in the frame on every row: each factor applied to its axis of the row's grid.
 
-        O_hi is real, so the left product is one real product on the float
-        view of each row's grid, half the flops of a complex one. The top
-        factor multiplies each row and O_lo^T each cell's rows, so no
-        product is larger than a one-cell operator's (a larger one may be
-        split across BLAS threads, which stalls pooled workers once threads
-        outnumber cores) and a row's result does not depend on the block.
-        On the h_x target, row 1 gains the real generator applied to row 0's
-        result f0, Y_hi @ f0 + f0 @ Y_lo^T: the generator commutes with the
-        step.
+        Every factor but the last contracts a non-minor axis, so it is one
+        real product on the float view of the grid, with the interleaved
+        re/im axis left free, at half the flops of the complex product on
+        the minor axis. No product is larger than a one-cell operator's (a
+        larger one may be split across BLAS threads, which stalls pooled
+        workers once threads outnumber cores) and a row's result does not
+        depend on the block. On the h_x target, row 1 gains the real
+        generator, one factor per axis, applied to row 0's result f0: the
+        generator commutes with the step.
         """
         cells, rows, _ = block.shape
-        hi, lo = self._o_hi.shape[-1], self._o_lo_t.shape[-1]
-        left = self._o_hi[:, np.newaxis] @ block.view(np.float64).reshape(cells, rows, hi, 2 * lo)
-        out = (left.view(np.complex128).reshape(cells, rows * hi, lo) @ self._o_lo_t).reshape(cells, rows, hi, lo)
+        grid = block.view(np.float64)
+        for factor, (size, tail) in zip(self._factors, self._axes):
+            grid = factor[:, np.newaxis] @ grid.reshape(cells, -1, size, tail)
+        minor, last = self._minor
+        out = grid.view(np.complex128).reshape(cells, -1, last) @ self._factors[-1]
+        out = out.reshape(cells, rows, -1, minor, last)
         if target == TARGET_HX:
             f0 = out[:, 0]
-            out[:, 1] += (self._y_hi @ f0.view(np.float64)).view(np.complex128)
-            out[:, 1] += f0 @ self._y_lo_t
+            flat = f0.view(np.float64)
+            for generator, (size, tail) in zip(self._generators, self._axes[:-1]):  # the axes before the minor two
+                out[:, 1] += (generator @ flat.reshape(cells, -1, size, tail)).view(np.complex128).reshape(f0.shape)
+            out[:, 1] += (self._generators[-2] @ flat).view(np.complex128)
+            out[:, 1] += f0 @ self._generators[-1]
         return out.reshape(block.shape)
 
     def _ising(self, block: np.ndarray, target: str | None) -> np.ndarray:

@@ -16,12 +16,12 @@ step F has a closed form in the Hamming distance of two basis states, so
 both half-size sector blocks of S are written down directly, and each is
 solved by one real symmetric eigh. The eigen-residual is then taken against
 the full U_F by running one period of the operator on the eigenvectors. Its
-field factors come from the same Hamming classes, but on the two halves of
-the qubits, in the real frame and rounded from extended precision, with no
-square root of the Ising phase and no parity map, so a slip in either
-shows up in the residual. In the
-period-doubled phase a pi-pair joins states of opposite parity (Khemani et
-al., PRL 116, 250401 (2016); Else, Bauer & Nayak, PRL 117, 090402 (2016)).
+field factors come from the same Hamming classes, but on groups of at
+most four qubits, in the real frame and rounded from extended precision,
+with no square root of the Ising phase and no parity map, so a slip in
+either shows up in the residual. In the period-doubled phase a pi-pair
+joins states of opposite parity (Khemani et al., PRL 116, 250401 (2016);
+Else, Bauer & Nayak, PRL 117, 090402 (2016)).
 """
 
 from __future__ import annotations

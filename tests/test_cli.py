@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from floquet_ising import states
+from floquet_ising import cli, states
 from floquet_ising.cli import main
 from floquet_ising.config import ConfigError, RunConfig
 from floquet_ising.dynamics import magnetization_series
@@ -251,6 +251,17 @@ class TestCommands:
                      "-o", str(tmp_path / "b")]) == 0
         assert len(read_csv(tmp_path / "b" / "mz.csv")) == 8
         assert json.loads((tmp_path / "b" / "run.json").read_text())["arguments"] == {"periods": 7}
+
+    def test_successive_calls_do_not_share_flags(self, tmp_path):
+        # main parses with one parser per process; no flag of a call reaches the next
+        assert main(["evolve", "--periods", "7", "--hxt", "0.5", "-o", str(tmp_path / "a")]) == 0
+        assert main(["evolve", "-o", str(tmp_path / "b")]) == 0
+        second = json.loads((tmp_path / "b" / "run.json").read_text())
+        assert second["arguments"] == {"periods": None}
+        assert second["config"]["model"]["hx_t"] == RunConfig().model.hx_t
+        analysis = RunConfig().analysis
+        assert len(read_csv(tmp_path / "b" / "mz.csv")) == analysis.transient_discard + analysis.spectrum_samples + 1
+        assert cli._parser() is cli._parser() and cli.build_parser() is not cli.build_parser()
 
     def test_bad_sidecar_argument_is_usage_error(self, tmp_path, capsys):
         sidecar = tmp_path / "run.json"

@@ -160,8 +160,9 @@ class TestBlockOperator:
             block = FloquetOperator(specs)
             for c, spec in enumerate(specs):
                 single = FloquetOperator(spec)
-                for name in ("_o_hi", "_o_lo_t", "_ising_phases"):
-                    assert np.array_equal(getattr(block, name)[c], getattr(single, name)[0]), (n, c, name)
+                for i, (ours, theirs) in enumerate(zip(block._factors, single._factors, strict=True)):
+                    assert np.array_equal(ours[c], theirs[0]), (n, c, i)
+                assert np.array_equal(block._ising_phases[c], single._ising_phases[0]), (n, c)
 
     def test_mixed_blocks_rejected(self):
         base = ModelSpec.dimensionless(4, 1.0, 1.0)
@@ -279,6 +280,13 @@ class TestDenseUnitary:
                 assert np.abs(dense(op) - dense_by_kronecker(op)).max() <= 1e-15
 
 
+def real_factors(op: FloquetOperator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(field factor, generator factor) pairs of an operator, top qubits first, the last one untransposed and real."""
+    factors = [*op._factors[:-1], op._factors[-1].transpose(0, 2, 1).real]
+    generators = [*op._generators[:-1], op._generators[-1].T.real]
+    return list(zip(factors, generators))
+
+
 class TestFactoredPeriod:
     """The factored period (Kronecker field factors on each row's grid) against
     the Walsh-Hadamard period kept in conftest as an oracle."""
@@ -315,25 +323,46 @@ class TestFactoredPeriod:
                     error = np.abs(op._period(rows, target) - expected).max()
                     assert error <= self.TOL * np.abs(expected).max(), (boundary, per_bond, target, error)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_factor_rule(self, n):
+        # max(2, ceil(N/4)) factors of at most 4 qubits, balanced and smaller
+        # first; N <= 8 keeps the split into N//2 and N - N//2 qubits
+        op = FloquetOperator(ModelSpec.dimensionless(n, 1.0, 0.0))
+        sizes = [factor.shape[-1].bit_length() - 1 for factor in op._factors]
+        assert len(sizes) == max(2, -(-n // 4)) and sum(sizes) == n, sizes
+        assert max(sizes) <= 4 and sizes == sorted(sizes) and sizes[-1] - sizes[0] <= 1, sizes
+        if n <= 8:
+            assert sizes == [n // 2, n - n // 2]
+        assert [len(generator) for generator in op._generators] == [1 << k for k in sizes]
+
+    @pytest.mark.parametrize("n", [9, 10, 12])
+    def test_long_run_norm_drift_with_three_factors(self, n):
+        # the state row of 2000 h_x-derivative periods keeps its norm within
+        # 1e-12 of 1; about 7e-14 is seen at N = 9 to 12
+        points = (0.4, 2.0), (2.6, 1.57), (1.9, 0.3), (np.pi / 2, np.pi / 4)
+        specs = [ModelSpec.dimensionless(n, h, j) for h, j in points]
+        blocks = FloquetOperator(specs).frame_trajectory(states.all_zero_state(n), 2000, TARGET_HX)
+        drift = max(np.abs(np.linalg.norm(block[:, 0], axis=-1) - 1).max() for block in blocks)
+        assert drift <= 1e-12, (n, drift)
+
     def test_field_factors_stay_unitary(self, rng):
-        # the eigenvalues of F_hi (x) F_lo, the field step in the Hadamard
-        # basis, lie within 2e-16 of the unit circle; rounding each entry to
-        # the nearest double instead leaves up to 6e-16 at N = 12, and a
-        # state's norm accumulates that error every period
+        # the eigenvalues of the factors' Kronecker product, the field step in
+        # the Hadamard basis, lie within 2e-16 of the unit circle; rounding
+        # each entry to the nearest double instead leaves up to 6e-16 at
+        # N = 12, and a state's norm accumulates that error every period
         for n in range(1, 13):
             op = FloquetOperator([ModelSpec.dimensionless(n, h, 0.0) for h in rng.uniform(0, 2 * np.pi, 20)])
-            moduli = []
-            lo = op._o_lo_t.shape[-1]
-            real_factors = (op._o_hi, op.frame_phase[::lo]), (op._o_lo_t.transpose(0, 2, 1), op.frame_phase[:lo])
-            for real_factor, phase in real_factors:
-                # the stored real factor taken back out of the frame, exactly
-                phase = phase.astype(np.clongdouble)
-                factor = phase[:, np.newaxis] * real_factor.real.astype(np.longdouble) * phase.conj()
+            error = np.zeros((20, 1))
+            for real_factor, _ in real_factors(op):
+                # the stored real factor taken back out of the frame, exactly:
+                # the frame phase of a factor's index j is (-i)^popcount(j)
+                phase = op.frame_phase[: real_factor.shape[-1]].astype(np.clongdouble)
+                factor = phase[:, np.newaxis] * real_factor.astype(np.longdouble) * phase.conj()
                 w = hadamard_matrix(factor.shape[-1].bit_length() - 1).astype(np.longdouble)
                 eigenvalues = np.einsum("ij,cjk,ki->ci", w, factor, w) / len(w)
-                moduli.append(np.abs(eigenvalues) - 1)
-            error = np.abs(moduli[0][:, :, np.newaxis] + moduli[1][:, np.newaxis, :]).max()
-            assert error <= 2e-16, (n, error)
+                # the product's moduli miss 1 by the sum of the factors' misses
+                error = (error[:, :, np.newaxis] + (np.abs(eigenvalues) - 1)[:, np.newaxis]).reshape(20, -1)
+            assert np.abs(error).max() <= 2e-16, (n, np.abs(error).max())
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_factors_are_sign_times_class_value(self, rng, n):
@@ -347,8 +376,7 @@ class TestFactoredPeriod:
         op = FloquetOperator([ModelSpec.dimensionless(n, h, 0.0) for h in hx_t])
         t1 = op.specs[0].protocol.t1
         angle = np.array([spec.h_x for spec in op.specs], dtype=np.longdouble)[:, np.newaxis] * t1
-        factors = (op._o_hi, op._y_hi), (op._o_lo_t.transpose(0, 2, 1).real, op._y_lo_t.T.real)
-        for factor, generator in factors:
+        for factor, generator in real_factors(op):
             size = factor.shape[-1]
             k = size.bit_length() - 1
             counts = np.array([bin(i).count("1") for i in range(size)])
