@@ -6,7 +6,8 @@ the state advanced by repeated application of the one-period propagator
 serves every caller: it advances a block of cells together, one row per
 cell, so a grid block costs one propagator call per period. Its states
 are in the operator's frame L^-1 psi, L = diag((-i)^popcount), which no
-Z-basis probability can see; the per-spec functions are the one-cell case.
+Z-basis probability can see. The block reader takes an operator; the
+per-spec functions are the one-cell case.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .model import FloquetOperator, ModelSpec, as_operator
+from .model import FloquetOperator, ModelSpec
 
 MZ = "mz"
 CZZ = "czz"
@@ -69,7 +70,7 @@ class TimeSeries:
 
 
 def expectation_records(
-    model: ModelSpec | FloquetOperator,
+    op: FloquetOperator,
     psi0: np.ndarray,
     n_max: int,
     observables: list[DiagonalObservable],
@@ -80,7 +81,6 @@ def expectation_records(
     over it with einsum's own loop, not BLAS: each value is a row sum, so a
     cell's record does not depend on the block.
     """
-    op = as_operator(model)
     for obs in observables:
         if len(obs.diag) != op.dim:
             raise ValueError(f"observable {obs.label!r} has dimension {len(obs.diag)}, state has {op.dim}")
@@ -93,31 +93,23 @@ def expectation_records(
 
 
 def stroboscopic_trajectory(
-    model: ModelSpec | FloquetOperator,
+    spec: ModelSpec,
     psi0: np.ndarray,
     n_max: int,
     observables: list[DiagonalObservable],
 ) -> list[TimeSeries]:
     """Evolve psi0 for n_max periods, recording each observable at every n: one cell's expectation_records."""
-    op = as_operator(model)
-    period = op.spec.protocol.period
-    records = expectation_records(op, psi0, n_max, observables)[0]
+    records = expectation_records(FloquetOperator(spec), psi0, n_max, observables)[0]
     times = np.arange(n_max + 1)
     return [
-        TimeSeries(times=times, values=records[k], label=obs.label, period=period)
+        TimeSeries(times=times, values=records[k], label=obs.label, period=spec.protocol.period)
         for k, obs in enumerate(observables)
     ]
 
 
-def magnetization_series(
-    model: ModelSpec | FloquetOperator, psi0: np.ndarray, n_max: int
-) -> TimeSeries:
-    op = as_operator(model)
-    return stroboscopic_trajectory(op, psi0, n_max, [total_magnetization(op.spec.n_qubits)])[0]
+def magnetization_series(spec: ModelSpec, psi0: np.ndarray, n_max: int) -> TimeSeries:
+    return stroboscopic_trajectory(spec, psi0, n_max, [total_magnetization(spec.n_qubits)])[0]
 
 
-def pair_correlation_series(
-    model: ModelSpec | FloquetOperator, psi0: np.ndarray, n_max: int
-) -> TimeSeries:
-    op = as_operator(model)
-    return stroboscopic_trajectory(op, psi0, n_max, [pair_correlation(op.spec.n_qubits)])[0]
+def pair_correlation_series(spec: ModelSpec, psi0: np.ndarray, n_max: int) -> TimeSeries:
+    return stroboscopic_trajectory(spec, psi0, n_max, [pair_correlation(spec.n_qubits)])[0]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DiagonalObservable
-from .model import FloquetOperator, ModelSpec, as_operator
+from .model import FloquetOperator, ModelSpec
 
 QFI = "qfi"
 CFI = "cfi"
@@ -73,35 +73,34 @@ class FisherSeries:
 
 
 def qfi_records(
-    model: ModelSpec | FloquetOperator,
+    op: FloquetOperator,
     target: str,
     psi0: np.ndarray,
     n_max: int,
 ) -> np.ndarray:
     """Exact-derivative QFI of every cell at n = 0..n_max, as a (cells, n_max + 1) array, read on frame states."""
-    blocks = as_operator(model).frame_trajectory(psi0, n_max, target)
+    blocks = op.frame_trajectory(psi0, n_max, target)
     return np.stack([qfi_value(block[:, 0], block[:, 1]) for block in blocks], axis=-1)
 
 
 def qfi_series(
-    model: ModelSpec | FloquetOperator,
+    spec: ModelSpec,
     target: str,
     psi0: np.ndarray,
     n_max: int,
 ) -> FisherSeries:
     """Exact-derivative QFI at every stroboscopic time n = 0..n_max."""
-    op = as_operator(model)
     return FisherSeries(
         kind=QFI,
         target=target,
         times=np.arange(n_max + 1),
-        values=qfi_records(op, target, psi0, n_max)[0],
-        period=op.spec.protocol.period,
+        values=qfi_records(FloquetOperator(spec), target, psi0, n_max)[0],
+        period=spec.protocol.period,
     )
 
 
 def cfi_series(
-    model: ModelSpec | FloquetOperator,
+    spec: ModelSpec,
     target: str,
     observable: DiagonalObservable,
     psi0: np.ndarray,
@@ -112,8 +111,7 @@ def cfi_series(
     The gradient d<X>/d theta = 2 Re <d psi|X|psi> comes from the exact
     derivative recurrence.
     """
-    op = as_operator(model)
-    period = op.spec.protocol.period
+    op = FloquetOperator(spec)
     if len(observable.diag) != op.dim:
         raise ValueError(
             f"observable {observable.label!r} has dimension {len(observable.diag)}, state has {op.dim}"
@@ -145,7 +143,7 @@ def cfi_series(
         target=target,
         times=np.arange(n_max + 1),
         values=values,
-        period=period,
+        period=spec.protocol.period,
         observable=observable.label,
         flags=flags,
     )

@@ -16,9 +16,9 @@ real, and the h_x derivative of the step is the real generator
 T1 sum_i (-i sigma_y^i) applied to its output. L commutes with the Ising
 phase and with every Z-basis observable and does not depend on h_x or J,
 so probabilities, the QFI and the CFI of a diagonal observable read the
-same on frame states; only apply and _period take states back out of the
-frame. The J derivative of the Ising step is the same phase times a
-diagonal generator.
+same on frame states; only apply takes states back out of the frame. The
+J derivative of the Ising step is the same phase times a diagonal
+generator.
 
 An entry (a, b) of a factor on k qubits depends on its Hamming class
 d = popcount(a ^ b) alone: it is sign * m_d, with the real class value
@@ -105,9 +105,9 @@ def _bond_list(n_qubits: int, boundary: str) -> list[tuple[int, int]]:
 class ModelSpec:
     """Full parameterization of the driven Ising system.
 
-    couplings is either a single float (uniform J on every bond) or a
-    sequence of per-bond values ordered like bonds(): (1,2), (2,3), ...,
-    plus the closing (N,1) bond for a ring.
+    couplings is either one real value, 0-d numpy values included (uniform
+    J on every bond), or a sequence of per-bond values ordered like bonds():
+    (1,2), (2,3), ..., plus the closing (N,1) bond for a ring.
     """
 
     n_qubits: int
@@ -119,7 +119,7 @@ class ModelSpec:
     def __post_init__(self):
         states.validate_qubit_count(self.n_qubits)
         bonds = _bond_list(self.n_qubits, self.boundary)
-        if isinstance(self.couplings, (int, float)):
+        if np.ndim(self.couplings) == 0:
             object.__setattr__(self, "couplings", float(self.couplings))
             if self.n_qubits == 1 and self.couplings != 0.0:
                 raise ValueError("interaction terms require at least 2 qubits")
@@ -148,7 +148,7 @@ class ModelSpec:
     ) -> "ModelSpec":
         """Build a spec from the dimensionless products h_x*T and J*T."""
         protocol = DriveProtocol(period=period, t1=t1_fraction * period, step_order=step_order)
-        if isinstance(j_t, (int, float)):
+        if np.ndim(j_t) == 0:
             couplings: float | tuple[float, ...] = float(j_t) / period
         else:
             couplings = tuple(float(j) / period for j in j_t)
@@ -256,8 +256,8 @@ class FloquetOperator:
     Y = T1 * sign * (distance == 1). frame_phase is the diagonal of L,
     (-i)^popcount, and frame_trajectory yields frame states. L is a Z-basis
     phase independent of h_x and J, so no Z-basis probability, QFI or CFI
-    can see it; apply and _period enter and leave the frame, so they act as
-    U_F itself. Immutable after construction; safe to share across workers.
+    can see it; apply alone enters and leaves the frame, so it acts as U_F
+    itself. Immutable after construction; safe to share across workers.
     """
 
     def __init__(self, specs: ModelSpec | Sequence[ModelSpec]):
@@ -312,12 +312,6 @@ class FloquetOperator:
             raise ValueError(f"a block of {self.cells} cells has no single spec")
 
     @property
-    def spec(self) -> ModelSpec:
-        """The spec of a one-cell operator."""
-        self._require_one_cell()
-        return self.specs[0]
-
-    @property
     def ising_phase(self) -> np.ndarray:
         """The Z-basis diagonal of a one-cell operator's Ising step."""
         self._require_one_cell()
@@ -352,9 +346,8 @@ class FloquetOperator:
         if target == TARGET_HX:
             f0 = out[:, 0]
             flat = f0.view(np.float64)
-            for generator, (size, tail) in zip(self._generators, self._axes[:-1]):  # the axes before the minor two
+            for generator, (size, tail) in zip(self._generators, self._axes):
                 out[:, 1] += (generator @ flat.reshape(cells, -1, size, tail)).view(np.complex128).reshape(f0.shape)
-            out[:, 1] += (self._generators[-2] @ flat).view(np.complex128)
             out[:, 1] += f0 @ self._generators[-1]
         return out.reshape(block.shape)
 
@@ -380,10 +373,6 @@ class FloquetOperator:
             block = step(block, target)
         return block
 
-    def _period(self, block: np.ndarray, target: str | None = None) -> np.ndarray:
-        """One period of U_F itself on every row of a (cells, k, dim) block, through the frame and back."""
-        return self._frame_period(block * self.frame_phase.conj(), target) * self.frame_phase
-
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """One period of evolution, U_F |psi>, for each cell's row of psi.
 
@@ -395,7 +384,8 @@ class FloquetOperator:
             raise ValueError(
                 f"dimension mismatch: states of shape {psi.shape}, operator needs ({self.cells}, {self.dim})"
             )
-        return self._period(psi.reshape(self.cells, 1, self.dim))[:, 0].reshape(psi.shape)
+        chi = self._frame_period(psi.reshape(self.cells, 1, self.dim) * self.frame_phase.conj())[:, 0]
+        return (chi * self.frame_phase).reshape(psi.shape)
 
     def frame_trajectory(self, psi0: np.ndarray, n_max: int, target: str | None = None) -> Iterator[np.ndarray]:
         """The evolution loop in the frame: blocks L^-1 psi_n, or L^-1 (psi_n, dpsi_n) with a target, n = 0..n_max.
@@ -418,8 +408,3 @@ class FloquetOperator:
         start[:, 0] = psi0 * self.frame_phase.conj()
         return accumulate(range(n_max), lambda block, _: self._frame_period(block, target), initial=start)
 
-
-def as_operator(model: ModelSpec | FloquetOperator) -> FloquetOperator:
-    if isinstance(model, FloquetOperator):
-        return model
-    return FloquetOperator(model)

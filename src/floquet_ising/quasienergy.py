@@ -15,13 +15,15 @@ Haake, Quantum Signatures of Chaos, ch. 4): D is diagonal and the field
 step F has a closed form in the Hamming distance of two basis states, so
 both half-size sector blocks of S are written down directly, and each is
 solved by one real symmetric eigh. The eigen-residual is then taken against
-the full U_F by running one period of the operator on the eigenvectors. Its
-field factors come from the same Hamming classes, but on groups of at
-most four qubits, in the real frame and rounded from extended precision,
-with no square root of the Ising phase and no parity map, so a slip in
-either shows up in the residual. In the period-doubled phase a pi-pair
-joins states of opposite parity (Khemani et al., PRL 116, 250401 (2016);
-Else, Bauer & Nayak, PRL 117, 090402 (2016)).
+the full U_F by running one period of the operator on the eigenvectors, in
+its frame L^-1 psi: L is a diagonal phase, so the residual's norm is the
+same in and out of the frame. The operator's field factors come from the
+same Hamming classes, but on groups of at most four qubits, in the real
+frame and rounded from extended precision, with no square root of the
+Ising phase and no parity map, so a slip in either shows up in the
+residual. In the period-doubled phase a pi-pair joins states of opposite
+parity (Khemani et al., PRL 116, 250401 (2016); Else, Bauer & Nayak,
+PRL 117, 090402 (2016)).
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import states
 from .errors import NumericalError
-from .model import ISING_THEN_FIELD, FloquetOperator, ModelSpec, as_operator
+from .model import ISING_THEN_FIELD, FloquetOperator, ModelSpec, _class_table
 
 UNIT_MODULUS_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
@@ -107,25 +108,25 @@ def _column_norms(columns: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", real, real) + np.einsum("ij,ij->j", imag, imag))
 
 
-def _sector_blocks(op: FloquetOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The P = +1 and P = -1 blocks of S = D F D in closed form.
+def _sector_blocks(spec: ModelSpec, ising_phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The P = +1 and P = -1 blocks of S = D F D in closed form, D the square root of the Ising phase.
 
     The field step is the N-fold Kronecker power of
     [[cos t, -i sin t], [-i sin t, cos t]], t = h_x T1, so
     F[a, b] = g[w] = cos(t)^(N - w) (-i sin t)^w with w = popcount(a XOR b).
     P sends b to dim-1-b, which flips every bit, so for a, b < dim/2 the
     partner entry F[a, dim-1-b] is g[N - w], and D is P-invariant; the
-    sector blocks are therefore D_a D_b (g[w] +- g[N - w]).
+    sector blocks are therefore D_a D_b (g[w] +- g[N - w]), with w read
+    from the cached Hamming table of the first N - 1 qubits.
     """
-    n = op.spec.n_qubits
-    half = op.dim // 2
-    angle = op.spec.h_x * op.spec.protocol.t1
+    n = spec.n_qubits
+    half = len(ising_phase) // 2
+    angle = spec.h_x * spec.protocol.t1
     flips = np.arange(n + 1)
     # real powers keep 0**0 = 1 where cos or sin vanishes; (-i)^w by table
     g = np.cos(angle) ** (n - flips) * np.sin(angle) ** flips * np.array([1, -1j, -1, 1j])[flips % 4]
-    index = np.arange(half)
-    distance = states.popcounts(n)[:half][index[:, np.newaxis] ^ index[np.newaxis, :]]
-    d = np.sqrt(op.ising_phase[:half])
+    distance = _class_table(n - 1)[0]
+    d = np.sqrt(ising_phase[:half])
     outer = d[:, np.newaxis] * d[np.newaxis, :]
     return (g + g[::-1])[distance] * outer, (g - g[::-1])[distance] * outer
 
@@ -155,7 +156,7 @@ def _symmetric_unitary_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, vectors
 
 
-def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalysis:
+def floquet_eigensystem(spec: ModelSpec) -> QuasienergyAnalysis:
     """Diagonalize U_F as two closed-form real symmetric eigenproblems (pairs left empty).
 
     With D the principal square root of the diagonal Ising phase,
@@ -177,21 +178,23 @@ def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalys
     Eigenvectors inside a degenerate eigenvalue cluster are re-orthonormalized:
     the small eig on a degenerate run does not guarantee orthogonality, and
     the h_x = J = 0 identity point is fully degenerate. The eigen-residual is
-    taken against the full U_F, by one period of the operator's step table
-    on a quarter of the eigenvectors at a time, so any error in D, in the block
-    map or in a sign fails the residual check.
+    taken against the full U_F, by one period of the operator on a quarter
+    of the eigenvectors at a time, so any error in D, in the block map or in
+    a sign fails the residual check. The period runs in the operator's frame
+    L^-1 psi, on eigenvector rows times L^-1: L is a diagonal phase, so
+    ||L^-1 (U_F v - lambda v)|| = ||U_F v - lambda v||.
     """
-    op = as_operator(model)
-    period = op.spec.protocol.period
+    op = FloquetOperator(spec)
+    period = spec.protocol.period
     half = op.dim // 2
     halves = (slice(None, half), slice(half, None))
     # U_F = scale S scale^-1, so scale times an eigenvector of S is one of U_F
     scale = np.sqrt(op.ising_phase[:half])
-    if op.spec.protocol.step_order == ISING_THEN_FIELD:
+    if spec.protocol.step_order == ISING_THEN_FIELD:
         scale = scale.conj()
     eigenvalues = np.empty(op.dim, dtype=np.complex128)
     sector_vectors = []
-    for sector, block in zip(halves, _sector_blocks(op)):
+    for sector, block in zip(halves, _sector_blocks(spec, op.ising_phase)):
         eigenvalues[sector], vectors = _symmetric_unitary_eig(block)
         sector_vectors.append(vectors)
 
@@ -199,7 +202,7 @@ def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalys
     if modulus_error > UNIT_MODULUS_TOL:
         raise NumericalError(
             f"eigenvalues deviate from unit modulus by {modulus_error:.3e} "
-            f"(h_x={op.spec.h_x}, couplings={op.spec.couplings}, n={op.spec.n_qubits})"
+            f"(h_x={spec.h_x}, couplings={spec.couplings}, n={spec.n_qubits})"
         )
 
     epsilons = -np.angle(eigenvalues) / period
@@ -231,14 +234,14 @@ def floquet_eigensystem(model: ModelSpec | FloquetOperator) -> QuasienergyAnalys
     step = max(op.dim // 4, 1)
     for start in range(0, op.dim, step):
         columns = slice(start, start + step)
-        rows = eigenvectors[:, columns].T
-        residuals = op._period(rows[np.newaxis])[0]
+        rows = eigenvectors[:, columns].T * op.frame_phase.conj()
+        residuals = op._frame_period(rows[np.newaxis])[0]
         residuals -= rows * eigenvalues[columns, np.newaxis]
         residual = max(residual, float(np.max(_column_norms(residuals.T))))
     if residual > RESIDUAL_TOL:
         raise NumericalError(
             f"eigen-residual {residual:.3e} exceeds {RESIDUAL_TOL} "
-            f"(h_x={op.spec.h_x}, couplings={op.spec.couplings}, n={op.spec.n_qubits})"
+            f"(h_x={spec.h_x}, couplings={spec.couplings}, n={spec.n_qubits})"
         )
 
     return QuasienergyAnalysis(
@@ -332,8 +335,8 @@ def overlap_weight(analysis: QuasienergyAnalysis, psi0: np.ndarray) -> float:
 
 
 def analyze(
-    model: ModelSpec | FloquetOperator, psi0: np.ndarray, tolerance: float | None = None
+    spec: ModelSpec, psi0: np.ndarray, tolerance: float | None = None
 ) -> tuple[QuasienergyAnalysis, float]:
     """Full pipeline: eigensystem, pair detection and psi0's overlap weight."""
-    analysis = detect_pi_pairs(floquet_eigensystem(model), tolerance)
+    analysis = detect_pi_pairs(floquet_eigensystem(spec), tolerance)
     return analysis, overlap_weight(analysis, psi0)

@@ -41,9 +41,9 @@ def non_pd_spec():
 
 def dense(op: FloquetOperator) -> np.ndarray:
     """Reference dense propagator of a one-cell operator, column k = U_F |k>,
-    from one period on every basis row."""
+    from one period on every basis row, taken into the frame and back."""
     op._require_one_cell()
-    return op._period(np.eye(op.dim)[np.newaxis])[0].T
+    return (op._frame_period(np.diag(op.frame_phase.conj())[np.newaxis])[0] * op.frame_phase).T
 
 
 def apply_with_derivative(op: FloquetOperator, target: str, psi: np.ndarray, dpsi: np.ndarray):
@@ -51,7 +51,7 @@ def apply_with_derivative(op: FloquetOperator, target: str, psi: np.ndarray, dps
     stacked rows (psi, dpsi), shaped as for op.apply."""
     op._require_target(target)
     rows = np.stack([np.reshape(x, (op.cells, op.dim)) for x in (psi, dpsi)], axis=1)
-    new_psi, new_dpsi = op._period(rows, target).transpose(1, 0, 2)
+    new_psi, new_dpsi = (op._frame_period(rows * op.frame_phase.conj(), target) * op.frame_phase).transpose(1, 0, 2)
     return new_psi.reshape(np.shape(psi)), new_dpsi.reshape(np.shape(psi))
 
 
@@ -90,7 +90,8 @@ def circle_distance(eps_i: float, eps_j: float, period: float = 1.0) -> float:
 
 def dense_by_kronecker(op: FloquetOperator) -> np.ndarray:
     """Reference dense propagator of a one-cell operator in closed form (dense_with_derivative)."""
-    return dense_with_derivative(op.spec)[0]
+    (spec,) = op.specs
+    return dense_with_derivative(spec)[0]
 
 
 def dense_with_derivative(spec: ModelSpec, target: str | None = None, dtype=np.complex128):

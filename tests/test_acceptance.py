@@ -230,9 +230,9 @@ def test_c10_structural_invariants(psi0, rng=np.random.default_rng(31415)):
     worst_residual = 0.0
     for h in np.linspace(0, np.pi, 21):
         for j in np.linspace(0, np.pi, 21):
-            op = FloquetOperator(ModelSpec.dimensionless(3, h, j))
-            analysis = fi.floquet_eigensystem(op)
-            u = dense(op)
+            spec = ModelSpec.dimensionless(3, h, j)
+            analysis = fi.floquet_eigensystem(spec)
+            u = dense(FloquetOperator(spec))
             phases = np.exp(-1j * analysis.epsilons * analysis.period)
             res = u @ analysis.eigenvectors - analysis.eigenvectors * phases[np.newaxis, :]
             worst_residual = max(worst_residual, float(np.linalg.norm(res, axis=0).max()))

@@ -99,6 +99,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             DriveProtocol(step_order="bogus")
 
+    @pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5), np.array(0.5)])
+    def test_numpy_scalar_coupling_is_uniform(self, value):
+        # a 0-d numpy value is one coupling for every bond, like its Python float
+        for build in (lambda j: ModelSpec(3, 1.0, j, RING), lambda j: ModelSpec.dimensionless(3, 1.0, j)):
+            spec = build(value)
+            assert spec == build(float(value)) and type(spec.couplings) is float
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_field_and_couplings_rejected(self, bad):
@@ -179,7 +185,7 @@ class TestBlockOperator:
 
     def test_block_has_no_single_spec(self, rng):
         block = FloquetOperator([ModelSpec.dimensionless(3, 1.0, 1.0)] * 2)
-        for read in (lambda: block.spec, lambda: block.ising_phase, lambda: dense(block)):
+        for read in (lambda: block.ising_phase, lambda: dense(block)):
             with pytest.raises(ValueError, match="2 cells"):
                 read()
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -288,8 +294,9 @@ def real_factors(op: FloquetOperator) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 class TestFactoredPeriod:
-    """The factored period (Kronecker field factors on each row's grid) against
-    the Walsh-Hadamard period kept in conftest as an oracle."""
+    """The factored period in the frame (Kronecker field factors on each row's
+    grid) against the Walsh-Hadamard period kept in conftest as an oracle,
+    taken into the frame by the exact phases (-i)^popcount."""
 
     # agreement within TOL relative to the largest entry of the oracle's
     # block; the two periods round differently, at about 1e-15
@@ -319,8 +326,8 @@ class TestFactoredPeriod:
                 targets = [None, TARGET_HX] + ([] if per_bond else [TARGET_J])
                 for target in targets:
                     rows = block if target else block[:, :1]
-                    expected = walsh_hadamard_period(op, rows, target)
-                    error = np.abs(op._period(rows, target) - expected).max()
+                    expected = walsh_hadamard_period(op, rows * op.frame_phase, target) * op.frame_phase.conj()
+                    error = np.abs(op._frame_period(rows, target) - expected).max()
                     assert error <= self.TOL * np.abs(expected).max(), (boundary, per_bond, target, error)
 
     @pytest.mark.parametrize("n", range(1, 13))

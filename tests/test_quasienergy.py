@@ -61,9 +61,8 @@ class TestEigensystem:
         assert np.allclose(np.sort(analysis.epsilons), [-np.pi / 2, np.pi / 2], atol=1e-12)
 
     def test_residuals_at_pd_point(self, pd_spec):
-        op = FloquetOperator(pd_spec)
-        analysis = floquet_eigensystem(op)
-        u = dense(op)
+        analysis = floquet_eigensystem(pd_spec)
+        u = dense(FloquetOperator(pd_spec))
         phases = np.exp(-1j * analysis.epsilons * analysis.period)
         residual = u @ analysis.eigenvectors - analysis.eigenvectors * phases[np.newaxis, :]
         assert np.linalg.norm(residual, axis=0).max() < 1e-9
@@ -100,7 +99,8 @@ class TestParityBlocks:
         # visiting only the eigh runs longer than one leaves every eigenpair
         # bitwise unchanged, the fully degenerate h_x = J = 0 point included
         for h, j in self.POINTS:
-            for block in _sector_blocks(FloquetOperator(ModelSpec.dimensionless(n, h, j))):
+            spec = ModelSpec.dimensionless(n, h, j)
+            for block in _sector_blocks(spec, FloquetOperator(spec).ising_phase):
                 for got, expected in zip(_symmetric_unitary_eig(block), symmetric_unitary_eig_split(block)):
                     assert np.array_equal(got, expected), (h, j)
 
@@ -145,15 +145,14 @@ class TestParityBlocks:
             n_bonds = len(ModelSpec.dimensionless(n, 0.0, 0.0, boundary=boundary).bonds())
             couplings = [1.57, 0.0, [0.3 + 0.4 * b for b in range(n_bonds)]] if n > 1 else [0.0]
             for h, j in itertools.product((np.pi, 0.0, 2.6, 1.1), couplings):
-                op = FloquetOperator(
-                    ModelSpec.dimensionless(n, h, j, boundary=boundary, step_order=step_order)
-                )
+                spec = ModelSpec.dimensionless(n, h, j, boundary=boundary, step_order=step_order)
+                op = FloquetOperator(spec)
                 half = op.dim // 2
                 scale = np.sqrt(op.ising_phase[:half])
                 if step_order == ISING_THEN_FIELD:
                     scale = scale.conj()
                 u = dense(op)
-                for sign, block in zip((1.0, -1.0), _sector_blocks(op)):
+                for sign, block in zip((1.0, -1.0), _sector_blocks(spec, op.ising_phase)):
                     sliced = u[:half, :half] + sign * u[:half, half:][:, ::-1]
                     sliced = scale.conj()[:, np.newaxis] * sliced * scale[np.newaxis, :]
                     assert np.abs(block - sliced).max() <= 1e-14

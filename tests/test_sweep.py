@@ -128,6 +128,38 @@ class TestCurvatureMaps:
         assert np.abs(diagram.values[0, :]).max() < 1e-9
 
 
+class TestMirrorSymmetry:
+    """The drive's mirror symmetries as an oracle for the whole evolution path.
+
+    With a = h_x T1, U_F(pi/2 - a) = c P Z U_F(a) Z (c a global phase, P and
+    Z the products of sigma_x and sigma_z), and I(J) commutes with P and Z,
+    so at T1 = T/2 the reflection h_x T -> pi - h_x T leaves every QFI
+    series unchanged for any N, boundary and step order. On a ring every
+    site sits on two bonds, so J T -> pi - J T is an exact symmetry too; on
+    a chain it is not (the maps below miss it by 1.2-2.9 relative). A sign
+    error in a field factor or a generator would break the mirror.
+    """
+
+    # agreement within TOL * (1 + |value|); about 6e-14 is seen
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("diagnostic", [KAPPA_HX, KAPPA_J])
+    @pytest.mark.parametrize(
+        "n, boundary, order",
+        [(3, RING, FIELD_THEN_ISING), (4, CHAIN, FIELD_THEN_ISING), (4, RING, FIELD_THEN_ISING),
+         (5, CHAIN, ISING_THEN_FIELD)],
+    )
+    def test_kappa_maps_are_mirror_symmetric(self, n, boundary, order, diagnostic):
+        grid = GridSpec(h_range=(0.0, np.pi, 13), j_range=(0.0, np.pi, 13), n_qubits=n,
+                        boundary=boundary, step_order=order)
+        values = sweep_diagnostic(grid, diagnostic).values
+        assert np.ptp(values) > 1  # a flat map would hold any mirror
+        bound = self.TOL * (1 + np.abs(values))
+        assert np.all(np.abs(values[::-1] - values) <= bound), np.abs(values[::-1] - values).max()
+        if boundary == RING:
+            assert np.all(np.abs(values[:, ::-1] - values) <= bound), np.abs(values[:, ::-1] - values).max()
+
+
 class TestBatchedOracle:
     """Blocked sweeps against the per-cell public functions."""
 
