@@ -105,9 +105,10 @@ def _bond_list(n_qubits: int, boundary: str) -> list[tuple[int, int]]:
 class ModelSpec:
     """Full parameterization of the driven Ising system.
 
-    couplings is either one real value, 0-d numpy values included (uniform
-    J on every bond), or a sequence of per-bond values ordered like bonds():
-    (1,2), (2,3), ..., plus the closing (N,1) bond for a ring.
+    h_x is one real value, 0-d numpy values included. couplings is either
+    one such value (uniform J on every bond), or a sequence of per-bond
+    values ordered like bonds(): (1,2), (2,3), ..., plus the closing (N,1)
+    bond for a ring.
     """
 
     n_qubits: int
@@ -119,6 +120,8 @@ class ModelSpec:
     def __post_init__(self):
         states.validate_qubit_count(self.n_qubits)
         bonds = _bond_list(self.n_qubits, self.boundary)
+        if np.ndim(self.h_x) == 0:
+            object.__setattr__(self, "h_x", float(self.h_x))
         if np.ndim(self.couplings) == 0:
             object.__setattr__(self, "couplings", float(self.couplings))
             if self.n_qubits == 1 and self.couplings != 0.0:

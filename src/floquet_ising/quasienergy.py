@@ -64,15 +64,18 @@ class QuasienergyAnalysis:
     """Eigensystem of a Floquet operator plus pi-pairing summary.
 
     eigenvectors holds one normalized eigenvector per column, matching
-    epsilons. pairs is a matching (each index used at most once); gaps
-    holds the circle distance of each pair. modulus_error and residual are
-    the solver's health checks: the largest ||lambda| - 1| and the largest
-    eigen-residual norm against the full propagator.
+    epsilons (None for a spectrum derived without them), and parities each
+    state's sector of P = prod_i sigma_x^i (+1 or -1). pairs is a matching
+    (each index used at most once); gaps holds the circle distance of each
+    pair. modulus_error and residual are the solver's health checks: the
+    largest ||lambda| - 1| and the largest eigen-residual norm against the
+    full propagator.
     """
 
     epsilons: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     period: float
+    parities: np.ndarray | None = None
     pairs: list[tuple[int, int]] = field(default_factory=list)
     gaps: np.ndarray = field(default_factory=lambda: np.empty(0))
     tolerance: float | None = None
@@ -156,6 +159,13 @@ def _symmetric_unitary_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, vectors
 
 
+def fold_quasienergies(eigenvalues: np.ndarray, period: float) -> np.ndarray:
+    """Quasienergies -arg(lambda)/T, the arg = pi boundary folded onto +pi/T: every value in (-pi/T, pi/T]."""
+    epsilons = -np.angle(eigenvalues) / period
+    epsilons[epsilons <= -np.pi / period] += 2.0 * np.pi / period
+    return epsilons
+
+
 def floquet_eigensystem(spec: ModelSpec) -> QuasienergyAnalysis:
     """Diagonalize U_F as two closed-form real symmetric eigenproblems (pairs left empty).
 
@@ -173,7 +183,7 @@ def floquet_eigensystem(spec: ModelSpec) -> QuasienergyAnalysis:
     The eigenvalues are sorted before lifting: an eigenvector v of a block
     goes straight to its sorted column as [v; +-R v] / sqrt(2) (R reverses
     dim/2 entries), an eigenvector of S, with its rows scaled by D (or
-    D^-1) to give that of U_F.
+    D^-1) to give that of U_F; the sign is its parity, returned as parities.
 
     Eigenvectors inside a degenerate eigenvalue cluster are re-orthonormalized:
     the small eig on a degenerate run does not guarantee orthogonality, and
@@ -205,10 +215,7 @@ def floquet_eigensystem(spec: ModelSpec) -> QuasienergyAnalysis:
             f"(h_x={spec.h_x}, couplings={spec.couplings}, n={spec.n_qubits})"
         )
 
-    epsilons = -np.angle(eigenvalues) / period
-    # fold the arg = pi boundary onto +pi/T so every value is in (-pi/T, pi/T]
-    epsilons[epsilons <= -np.pi / period] += 2.0 * np.pi / period
-
+    epsilons = fold_quasienergies(eigenvalues, period)
     order = np.argsort(epsilons, kind="stable")
     eigenvalues = eigenvalues[order]
     epsilons = epsilons[order]
@@ -217,7 +224,9 @@ def floquet_eigensystem(spec: ModelSpec) -> QuasienergyAnalysis:
     # the normalization below supplies the 1/sqrt(2) of the lift; column
     # major, so every lifted column is one contiguous write
     eigenvectors = np.empty((op.dim, op.dim), dtype=np.complex128, order="F")
-    for sign, sector, vectors in zip((1.0, -1.0), halves, sector_vectors):
+    parities = np.empty(op.dim, dtype=int)
+    for sign, sector, vectors in zip((1, -1), halves, sector_vectors):
+        parities[column[sector]] = sign
         vectors *= scale[:, np.newaxis]
         eigenvectors[:half, column[sector]] = vectors
         eigenvectors[half:, column[sector]] = sign * vectors[::-1]
@@ -245,7 +254,7 @@ def floquet_eigensystem(spec: ModelSpec) -> QuasienergyAnalysis:
         )
 
     return QuasienergyAnalysis(
-        epsilons=epsilons, eigenvectors=eigenvectors, period=period,
+        epsilons=epsilons, eigenvectors=eigenvectors, period=period, parities=parities,
         modulus_error=modulus_error, residual=residual,
     )
 
@@ -320,6 +329,11 @@ def overlap_weight(analysis: QuasienergyAnalysis, psi0: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: state has {len(psi0)}, eigenbasis has {analysis.dim}")
     # |<phi|psi0>|^2 = |<psi0|phi>|^2, so no conjugate copy of the eigenvectors
     weights = np.abs(np.asarray(psi0, dtype=np.complex128).conj() @ analysis.eigenvectors) ** 2
+    return paired_weight(analysis, weights)
+
+
+def paired_weight(analysis: QuasienergyAnalysis, weights: np.ndarray) -> float:
+    """overlap_weight from the eigenstates' weights |<phi_gamma|psi0>|^2, ordered like epsilons."""
     denominator = float(weights.sum())
     if abs(denominator - 1.0) > 1e-6:
         raise NumericalError(

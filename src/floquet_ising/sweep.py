@@ -1,14 +1,24 @@
 """Parallel evaluation of diagnostics over (h_x T, J T) grids.
 
+A sweep plans over the drive's mirror orbits. With a = h_x T1,
+U_F(pi/2 - a) = (-i)^N P Z U_F(a) Z (P and Z the products of sigma_x and
+sigma_z), so two rows whose h_x T sum to pi / (2 t1_fraction) (pi at
+T1 = T/2) within 4 ulp form an orbit. Only the lower row is evaluated;
+the upper is filled by its diagnostic's rule: kappa_hx and kappa_j are
+copied (the QFI series are equal), weight is that of the series signed
+by (-1)^n (P flips M_z), and pi_fraction and overlap come from the
+spectrum i^N p lambda (p the state's parity) and the same |<v|0..0>|^2.
+
 The recurrence diagnostics (weight, kappa_hx, kappa_j) split the
-row-major cell list into contiguous, near-equal blocks: at least one per
-worker, each within a fixed byte budget for its (cells, rows, 2^N) state
-block. A block is one FloquetOperator evolved by one loop, reduced by one
-rfft (weight) or one least-squares solve (kappa); the recurrence raises
-no numerical errors, so a block succeeds or fails as a whole. The eigen
-diagnostics (pi_fraction, overlap) stay one task per cell, and a cell
-whose numerics fail (a NumericalError or a LinAlgError) is recorded as
-nan instead of aborting the sweep; any other exception aborts it.
+row-major list of evaluated cells into contiguous, near-equal blocks: at
+least one per worker, each within a fixed byte budget for its (cells,
+rows, 2^N) state block. A block is one FloquetOperator evolved by one
+loop, reduced by one rfft (weight) or one least-squares solve (kappa);
+the recurrence raises no numerical errors, so a block succeeds or fails
+as a whole. The eigen diagnostics (pi_fraction, overlap) run one task
+per orbit, and an orbit whose numerics fail (a NumericalError or a
+LinAlgError) is recorded as nan in both cells instead of aborting the
+sweep; any other exception aborts it.
 
 Results are reduced by cell index, and every per-cell product and sum is
 taken one row at a time, so a sweep is a deterministic function of the
@@ -111,38 +121,66 @@ class PhaseDiagram:
         return columns
 
 
-def _cell_value(task: tuple) -> float:
-    """Evaluate an eigen diagnostic at one grid cell; nan on a numerical failure."""
-    diagnostic, grid, hx_t, j_t, settings = task
-    spec = grid.model_at(hx_t, j_t)
+def _orbit_values(task: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate an eigen diagnostic at one cell and, if flagged, at its mirror from the same eigensystem."""
+    diagnostic, grid, ((hx_t, j_t, mirrored),), settings = task
     try:
         analysis = quasienergy.detect_pi_pairs(
-            quasienergy.floquet_eigensystem(spec), settings.pair_tolerance
+            quasienergy.floquet_eigensystem(grid.model_at(hx_t, j_t)), settings.pair_tolerance
         )
-        if diagnostic == PI_FRACTION:
-            return analysis.pair_fraction
-        return quasienergy.overlap_weight(analysis, all_zero_state(grid.n_qubits))
+        weights = np.abs(analysis.eigenvectors[0]) ** 2  # |<v|0..0>|^2
+        spectra = [(analysis, weights)]
+        if mirrored:
+            eigenvalues = np.exp(-1j * analysis.period * analysis.epsilons) * 1j**grid.n_qubits * analysis.parities
+            epsilons = quasienergy.fold_quasienergies(eigenvalues, analysis.period)
+            order = np.argsort(epsilons, kind="stable")
+            mirror = quasienergy.QuasienergyAnalysis(epsilons[order], None, analysis.period)
+            spectra.append((quasienergy.detect_pi_pairs(mirror, settings.pair_tolerance), weights[order]))
+        values = np.array([
+            spectrum.pair_fraction if diagnostic == PI_FRACTION else quasienergy.paired_weight(spectrum, w)
+            for spectrum, w in spectra
+        ])
     except (NumericalError, np.linalg.LinAlgError):
         # eigensolver edge cases at exact degeneracies must not destroy a
-        # long sweep; the cell keeps a not-a-value marker. Any other
+        # long sweep; the orbit keeps a not-a-value marker. Any other
         # exception is a bug and propagates.
-        return np.nan
+        values = np.full(1 + mirrored, np.nan)
+    return values[:1], values[1:]
 
 
-def _block_values(task: tuple) -> np.ndarray:
-    """Evaluate a recurrence diagnostic on a block of cells with one operator."""
+def _block_values(task: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a recurrence diagnostic on a block of cells with one operator, and on the flagged cells' mirrors."""
     diagnostic, grid, cells, settings = task
-    op = FloquetOperator([grid.model_at(hx_t, j_t) for hx_t, j_t in cells])
+    op = FloquetOperator([grid.model_at(hx_t, j_t) for hx_t, j_t, _ in cells])
+    mirrored = np.array([flag for *_, flag in cells], dtype=bool)
     psi0 = all_zero_state(grid.n_qubits)
     if diagnostic == WEIGHT:
         n_max = settings.transient_discard + settings.spectrum_samples
         mz = expectation_records(op, psi0, n_max, [total_magnetization(grid.n_qubits)])[:, 0]
-        return spectral.subharmonic_weights(mz, settings.transient_discard, settings.spectrum_samples)[0]
+        signed = mz[mirrored] * np.where(np.arange(n_max + 1) % 2, -1.0, 1.0)
+        weights = spectral.subharmonic_weights(np.concatenate((mz, signed)), settings.transient_discard,
+                                               settings.spectrum_samples)[0]
+        return weights[: len(cells)], weights[len(cells) :]
     target = TARGET_HX if diagnostic == KAPPA_HX else TARGET_J
     window = metrology.tail_window(settings.n_max + 1, settings.fit_window)
     qfi = metrology.qfi_records(op, target, psi0, settings.n_max)[:, window]
     t = np.arange(settings.n_max + 1)[window] * grid.period
-    return metrology.quadratic_fits(t, qfi)[0][:, 0]
+    kappa = metrology.quadratic_fits(t, qfi)[0][:, 0]
+    return kappa, kappa[mirrored]
+
+
+def _mirror_rows(grid: GridSpec) -> dict[int, int]:
+    """{lower row: upper row} for row pairs whose h_x T sum to pi / (2 t1_fraction) within 4 ulp."""
+    h = grid.h_values()
+    mirror = np.pi / (2.0 * grid.t1_fraction)
+    match = np.abs(h[:, np.newaxis] + h - mirror) <= 4 * np.spacing(mirror)
+    partner: dict[int, int] = {}
+    for row in np.argsort(h, kind="stable").tolist():
+        taken = {row, *partner, *partner.values()}
+        found = [k for k in np.flatnonzero(match[row]).tolist() if k not in taken]
+        if row not in partner.values() and found:
+            partner[row] = found[0]
+    return partner
 
 
 def _run(function, tasks: list[tuple], workers: int, chunksize: int = 1) -> list:
@@ -165,11 +203,12 @@ def sweep_diagnostic(
     settings = settings or SweepSettings()
     h_values = grid.h_values()
     j_values = grid.j_values()
-    cells = [(float(h), float(j)) for h in h_values for j in j_values]
+    partner = _mirror_rows(grid)
+    evaluated = [row for row in range(len(h_values)) if row not in partner.values()]
+    cells = [(float(h_values[row]), float(j), row in partner) for row in evaluated for j in j_values]
     if diagnostic in (PI_FRACTION, OVERLAP):
-        tasks = [(diagnostic, grid, h, j, settings) for h, j in cells]
-        chunksize = max(1, len(tasks) // (8 * settings.workers))
-        flat = _run(_cell_value, tasks, settings.workers, chunksize)
+        tasks = [(diagnostic, grid, [cell], settings) for cell in cells]
+        function, chunksize = _orbit_values, max(1, len(tasks) // (8 * settings.workers))
     else:
         rows = 1 if diagnostic == WEIGHT else 2
         cap = max(1, BLOCK_BYTES // (rows * 16 << grid.n_qubits))
@@ -178,8 +217,12 @@ def sweep_diagnostic(
             (diagnostic, grid, [cells[i] for i in block], settings)
             for block in np.array_split(np.arange(len(cells)), count)
         ]
-        flat = np.concatenate(_run(_block_values, tasks, settings.workers))
-    values = np.asarray(flat).reshape(len(h_values), len(j_values))
+        function, chunksize = _block_values, 1
+    results = _run(function, tasks, settings.workers, chunksize)
+    values = np.empty((len(h_values), len(j_values)))
+    values[evaluated] = np.concatenate([own for own, _ in results]).reshape(-1, len(j_values))
+    filled = [partner[row] for row in evaluated if row in partner]
+    values[filled] = np.concatenate([mirror for _, mirror in results]).reshape(-1, len(j_values))
     return PhaseDiagram(grid=grid, field_name=diagnostic, values=values)
 
 

@@ -15,6 +15,9 @@ from floquet_ising.quasienergy import (
     default_pair_tolerance,
 )
 
+# rounding margin of the tie-fragility test below
+TIE_MARGIN = 1e-12
+
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     dim = 1 << n_qubits
@@ -312,3 +315,47 @@ def overlap_weight_loop(analysis: QuasienergyAnalysis, psi0: np.ndarray) -> floa
         members = order[cluster]
         weight += weights[members].sum() * paired[members].mean()
     return float(weight / weights.sum())
+
+
+def sorted_from_cut(epsilons, reference):
+    """Quasienergies (T = 1) sorted from a cut in the widest gap of reference,
+    so a value at the +-pi fold cannot change its rank."""
+    zone = 2.0 * np.pi
+    ref = np.sort(reference % zone)
+    gaps = np.diff(ref, append=ref[0] + zone)
+    cut = ref[np.argmax(gaps)] + gaps.max() / 2
+    return np.sort((epsilons - cut) % zone)
+
+
+def eigenspace_weights(analysis: QuasienergyAnalysis, eigenvalues: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Summed weights (one per state of analysis) of the eigenspace of each
+    given eigenvalue: the states within 1e-8 of it, so the sum is basis-free."""
+    own = np.exp(-1j * analysis.epsilons * analysis.period)
+    same = np.abs(eigenvalues[:, np.newaxis] - own[np.newaxis, :]) < 1e-8
+    return same @ weights
+
+
+def tie_fragile(epsilons: np.ndarray, period: float = 1.0, tolerance: float | None = None) -> bool:
+    """Whether rounding at TIE_MARGIN could change the greedy pi-pair count or
+    the degenerate clusters of this spectrum.
+
+    True when two candidate pairs that share a state have |gap - pi/T|
+    within TIE_MARGIN of each other (the greedy order follows the tie), when
+    a pair's |gap - pi/T| lies within TIE_MARGIN of the tolerance, or when
+    two neighbouring eigenvalues are within TIE_MARGIN of
+    DEGENERACY_CLUSTER_TOL apart.
+    """
+    tolerance = default_pair_tolerance(period) if tolerance is None else tolerance
+    zone = 2.0 * np.pi / period
+    diff = (epsilons[:, np.newaxis] - epsilons[np.newaxis, :]) % zone
+    error = np.abs(np.minimum(diff, zone - diff) - np.pi / period)
+    np.fill_diagonal(error, np.inf)
+    if np.any(np.abs(error - tolerance) <= TIE_MARGIN):
+        return True
+    # a state's candidate errors, sorted; non-candidates get distinct values far above them
+    candidates = np.sort(np.where(error <= tolerance, error, 4 * zone + np.arange(len(epsilons))), axis=1)
+    if np.any(np.diff(candidates, axis=1) <= TIE_MARGIN):
+        return True
+    eigenvalues = np.exp(-1j * period * np.sort(epsilons))
+    steps = np.abs(np.diff(eigenvalues, append=eigenvalues[:1]))
+    return bool(np.any(np.abs(steps - DEGENERACY_CLUSTER_TOL) <= TIE_MARGIN))

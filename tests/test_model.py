@@ -106,6 +106,13 @@ class TestSpecValidation:
             spec = build(value)
             assert spec == build(float(value)) and type(spec.couplings) is float
 
+    @pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5), np.array(0.5)])
+    def test_numpy_scalar_field_is_a_float(self, value):
+        # a 0-d numpy h_x is stored as its Python float, so the spec stays hashable
+        spec = ModelSpec(3, value, 1.0, RING)
+        assert spec == ModelSpec(3, float(value), 1.0, RING) and type(spec.h_x) is float
+        assert hash(spec) == hash(ModelSpec(3, float(value), 1.0, RING))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_field_and_couplings_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):

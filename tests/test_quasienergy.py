@@ -20,29 +20,13 @@ from conftest import (
     circle_distance,
     dense,
     detect_pi_pairs_dense,
+    eigenspace_weights,
     full_eig_eigensystem,
     overlap_weight_loop,
     random_state,
+    sorted_from_cut,
     symmetric_unitary_eig_split,
 )
-
-
-def sorted_from_cut(epsilons, reference):
-    """Quasienergies (T = 1) sorted from a cut in the widest gap of reference,
-    so a value at the +-pi fold cannot change its rank."""
-    zone = 2.0 * np.pi
-    ref = np.sort(reference % zone)
-    gaps = np.diff(ref, append=ref[0] + zone)
-    cut = ref[np.argmax(gaps)] + gaps.max() / 2
-    return np.sort((epsilons - cut) % zone)
-
-
-def eigenspace_weights(analysis, eigenvalues, psi0):
-    """|psi0|^2 weight of the eigenspace of each given eigenvalue (basis-free)."""
-    own = np.exp(-1j * analysis.epsilons * analysis.period)
-    weights = np.abs(analysis.eigenvectors.conj().T @ psi0) ** 2
-    same = np.abs(eigenvalues[:, np.newaxis] - own[np.newaxis, :]) < 1e-8
-    return same @ weights
 
 
 class TestEigensystem:
@@ -129,8 +113,8 @@ class TestParityBlocks:
                 assert abs(blocks.pair_fraction - oracle.pair_fraction) <= 1e-10
                 eigenvalues = np.exp(-1j * blocks.epsilons)
                 assert np.abs(
-                    eigenspace_weights(blocks, eigenvalues, psi0)
-                    - eigenspace_weights(oracle, eigenvalues, psi0)
+                    eigenspace_weights(blocks, eigenvalues, np.abs(blocks.eigenvectors.conj().T @ psi0) ** 2)
+                    - eigenspace_weights(oracle, eigenvalues, np.abs(oracle.eigenvectors.conj().T @ psi0) ** 2)
                 ).max() <= 1e-10
                 assert abs(overlap_weight(blocks, psi0) - overlap_weight(oracle, psi0)) <= 1e-10
 
@@ -197,6 +181,7 @@ class TestParityBlocks:
         # the global flip P reverses the basis order; sign = <v|P v>
         sign = np.sign(np.sum(v[::-1].conj() * v, axis=0).real)
         assert np.abs(v[::-1] - sign[np.newaxis, :] * v).max() <= 1e-12
+        assert np.array_equal(analysis.parities, sign)
         assert analysis.pairs
         assert all(sign[a] == -sign[b] for a, b in analysis.pairs)
 
@@ -266,6 +251,7 @@ class TestPiPairs:
         v = analysis.eigenvectors
         sign = np.sign(np.sum(v[::-1].conj() * v, axis=0).real)
         assert np.abs(v[::-1] - sign[np.newaxis, :] * v).max() <= 1e-12
+        assert np.array_equal(analysis.parities, sign)
         plus, minus = analysis.epsilons[sign > 0], analysis.epsilons[sign < 0]
         diff = (plus[:, np.newaxis] - minus[np.newaxis, :]) % (2 * np.pi)
         gap = np.minimum(diff, 2 * np.pi - diff)

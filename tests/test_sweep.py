@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from floquet_ising import sweep
+from floquet_ising import quasienergy, sweep
 from floquet_ising.dynamics import magnetization_series, total_magnetization
 from floquet_ising.errors import NumericalError
 from floquet_ising.metrology import curvature_fit, qfi_series, quadratic_fits, tail_window
 from floquet_ising.model import CHAIN, FIELD_THEN_ISING, ISING_THEN_FIELD, RING, TARGET_HX, TARGET_J
 from floquet_ising.spectral import subharmonic_weight, subharmonic_weights
+from floquet_ising.quasienergy import analyze
 from floquet_ising.states import all_zero_state
 from floquet_ising.sweep import (
     KAPPA_HX,
@@ -17,7 +18,7 @@ from floquet_ising.sweep import (
     sweep_diagnostic,
 )
 
-from conftest import reference_qfi, reference_trajectory
+from conftest import eigenspace_weights, reference_qfi, reference_trajectory, sorted_from_cut, tie_fragile
 
 
 @pytest.fixture(scope="module")
@@ -129,15 +130,19 @@ class TestCurvatureMaps:
 
 
 class TestMirrorSymmetry:
-    """The drive's mirror symmetries as an oracle for the whole evolution path.
+    """The drive's mirror symmetries, checked against direct evaluation.
 
     With a = h_x T1, U_F(pi/2 - a) = c P Z U_F(a) Z (c a global phase, P and
     Z the products of sigma_x and sigma_z), and I(J) commutes with P and Z,
     so at T1 = T/2 the reflection h_x T -> pi - h_x T leaves every QFI
-    series unchanged for any N, boundary and step order. On a ring every
-    site sits on two bonds, so J T -> pi - J T is an exact symmetry too; on
-    a chain it is not (the maps below miss it by 1.2-2.9 relative). A sign
-    error in a field factor or a generator would break the mirror.
+    series unchanged, signs <M_z>(n) by (-1)^n and maps the spectrum to
+    i^N p lambda, for any N, boundary and step order. The sweep evaluates
+    one row per mirror pair and fills the other, so these tests compare
+    every filled cell with a direct evaluation at its own (h_x T, J T). On a
+    ring every site sits on two bonds, so J T -> pi - J T is an exact
+    symmetry too; on a chain it is not (the maps below miss it by 1.2-2.9
+    relative). A sign error in a field factor or a generator would break
+    either mirror.
     """
 
     # agreement within TOL * (1 + |value|); about 6e-14 is seen
@@ -152,12 +157,74 @@ class TestMirrorSymmetry:
     def test_kappa_maps_are_mirror_symmetric(self, n, boundary, order, diagnostic):
         grid = GridSpec(h_range=(0.0, np.pi, 13), j_range=(0.0, np.pi, 13), n_qubits=n,
                         boundary=boundary, step_order=order)
+        assert sweep._mirror_rows(grid) == {row: 12 - row for row in range(6)}
         values = sweep_diagnostic(grid, diagnostic).values
         assert np.ptp(values) > 1  # a flat map would hold any mirror
         bound = self.TOL * (1 + np.abs(values))
-        assert np.all(np.abs(values[::-1] - values) <= bound), np.abs(values[::-1] - values).max()
+        # the filled rows 7..12 against a grid of the same rows, which has no
+        # mirror pairs and so evaluates every cell
+        h = grid.h_values()
+        upper = GridSpec(h_range=(h[7], h[12], 6), j_range=grid.j_range, n_qubits=n, boundary=boundary,
+                         step_order=order)
+        assert sweep._mirror_rows(upper) == {}
+        direct = sweep_diagnostic(upper, diagnostic).values
+        assert np.all(np.abs(values[7:] - direct) <= bound[7:]), np.abs(values[7:] - direct).max()
         if boundary == RING:
             assert np.all(np.abs(values[:, ::-1] - values) <= bound), np.abs(values[:, ::-1] - values).max()
+
+    @pytest.mark.parametrize("order", [FIELD_THEN_ISING, ISING_THEN_FIELD])
+    @pytest.mark.parametrize("boundary", [CHAIN, RING])
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_filled_cells_match_per_cell_path(self, monkeypatch, n, boundary, order):
+        # rows 3 and 2 are filled from rows 0 and 1; J T = 0 is degenerate
+        grid = GridSpec(h_range=(0.2, np.pi - 0.2, 4), j_range=(0.0, 2.6, 4), n_qubits=n,
+                        boundary=boundary, step_order=order)
+        assert sweep._mirror_rows(grid) == {0: 3, 1: 2}
+        filled = [(row, b) for row in (3, 2) for b in range(4)]  # the sweep's fill order
+        settings = SweepSettings(n_max=60, transient_discard=10, spectrum_samples=64)
+        psi0 = all_zero_state(n)
+        specs = {(a, b): grid.model_at(h, j) for a, h in enumerate(grid.h_values())
+                 for b, j in enumerate(grid.j_values())}
+
+        for diagnostic in ("weight", KAPPA_HX, KAPPA_J):
+            values = sweep_diagnostic(grid, diagnostic, settings).values
+            for cell in filled:
+                if diagnostic == "weight":
+                    series = magnetization_series(specs[cell], psi0, 74)
+                    expected = subharmonic_weight(series, 10, 64).weight
+                else:
+                    target = TARGET_HX if diagnostic == KAPPA_HX else TARGET_J
+                    expected = curvature_fit(qfi_series(specs[cell], target, psi0, 60)).a
+                assert abs(values[cell] - expected) <= self.TOL * (1 + abs(expected)), (diagnostic, cell)
+
+        # the derived spectra and weights the sweep hands to paired_weight
+        derived = []
+        real = quasienergy.paired_weight
+
+        def spy(analysis, weights):
+            if analysis.eigenvectors is None:
+                derived.append((analysis, weights))
+            return real(analysis, weights)
+
+        monkeypatch.setattr(quasienergy, "paired_weight", spy)
+        overlaps = sweep_diagnostic(grid, "overlap").values
+        fractions = sweep_diagnostic(grid, "pi_fraction").values
+        assert len(derived) == len(filled)
+        fragile = 0
+        for cell, (mirror, weights) in zip(filled, derived):
+            direct, overlap = analyze(specs[cell], psi0)
+            assert np.abs(sorted_from_cut(mirror.epsilons, direct.epsilons)
+                          - sorted_from_cut(direct.epsilons, direct.epsilons)).max() <= 1e-12, cell
+            eigenvalues = np.exp(-1j * direct.epsilons)
+            assert np.abs(eigenspace_weights(mirror, eigenvalues, weights)
+                          - eigenspace_weights(direct, eigenvalues, np.abs(direct.eigenvectors[0]) ** 2)
+                          ).max() <= 1e-10, cell
+            if tie_fragile(direct.epsilons) or tie_fragile(mirror.epsilons):
+                fragile += 1
+                continue
+            assert fractions[cell] == direct.pair_fraction, cell
+            assert abs(overlaps[cell] - overlap) <= 1e-10, cell
+        print(f"N={n} {boundary} {order}: {fragile} of {len(filled)} filled eigen cells tie-fragile")
 
 
 class TestBatchedOracle:
@@ -258,29 +325,38 @@ class TestDeterminismAndIsolation:
         assert np.array_equal(a.values, b.values)
 
     @staticmethod
-    def poison_row(monkeypatch, error):
-        """Make the eigensystem of every cell of the h_x T = pi/4 row raise error.
+    def poison_row(monkeypatch, error, hx_t=np.pi / 4):
+        """Make the eigensystem of every cell of the h_x T = hx_t row raise error.
 
-        Eigen diagnostics run one task per cell, so a failure stays in its
-        cell; recurrence cells run in blocks and raise no numerical errors.
+        Eigen diagnostics run one task per mirror orbit, so a failure stays
+        in its orbit: on toy_grid, h_x T = pi/4 (row 1) fills row 3, and
+        pi/2 (row 2) is its own mirror. Recurrence cells run in blocks and
+        raise no numerical errors.
         """
         from floquet_ising import quasienergy
 
         real = quasienergy.floquet_eigensystem
 
         def poisoned(model):
-            if abs(model.h_x - np.pi / 4) < 1e-9:
+            if abs(model.h_x - hx_t) < 1e-9:
                 raise error
             return real(model)
 
         monkeypatch.setattr(quasienergy, "floquet_eigensystem", poisoned)
 
     def test_cell_failure_is_isolated(self, toy_grid, monkeypatch):
-        # one cell with failed numerics must not abort the sweep
+        # an orbit with failed numerics must not abort the sweep; both of its
+        # rows become nan
         self.poison_row(monkeypatch, NumericalError("injected failure"))
         diagram = sweep_diagnostic(toy_grid, "pi_fraction")
-        assert np.isnan(diagram.values[1, :]).all()
-        assert np.isfinite(diagram.values[[0, 2, 3, 4], :]).all()
+        assert np.isnan(diagram.values[[1, 3], :]).all()
+        assert np.isfinite(diagram.values[[0, 2, 4], :]).all()
+
+    def test_self_mirrored_row_failure_is_isolated(self, toy_grid, monkeypatch):
+        self.poison_row(monkeypatch, NumericalError("injected failure"), np.pi / 2)
+        diagram = sweep_diagnostic(toy_grid, "overlap")
+        assert np.isnan(diagram.values[2, :]).all()
+        assert np.isfinite(diagram.values[[0, 1, 3, 4], :]).all()
 
     def test_programming_error_propagates(self, toy_grid, monkeypatch):
         # anything but a numerical failure is a bug and must not become nan
