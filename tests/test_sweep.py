@@ -6,8 +6,8 @@ from floquet_ising.dynamics import magnetization_series, total_magnetization
 from floquet_ising.errors import NumericalError
 from floquet_ising.metrology import curvature_fit, qfi_series, quadratic_fits, tail_window
 from floquet_ising.model import CHAIN, FIELD_THEN_ISING, ISING_THEN_FIELD, RING, TARGET_HX, TARGET_J
-from floquet_ising.spectral import subharmonic_weight, subharmonic_weights
 from floquet_ising.quasienergy import analyze
+from floquet_ising.spectral import subharmonic_weight, subharmonic_weights
 from floquet_ising.states import all_zero_state
 from floquet_ising.sweep import (
     KAPPA_HX,
@@ -333,8 +333,6 @@ class TestDeterminismAndIsolation:
         pi/2 (row 2) is its own mirror. Recurrence cells run in blocks and
         raise no numerical errors.
         """
-        from floquet_ising import quasienergy
-
         real = quasienergy.floquet_eigensystem
 
         def poisoned(model):
