@@ -9,13 +9,17 @@ named columns) and its JSON records. `main` resolves the configuration,
 runs the handler and only then creates the output directory and writes
 the tables, the records and a run.json sidecar with the fully resolved
 configuration and subcommand arguments, so a failed command writes
-nothing. Feeding that sidecar back via --config reproduces the run.
+nothing. Feeding that sidecar back via --config reproduces the run; its
+environment (numpy, BLAS, CPUs, workers) and timings (compute, write and,
+for sweeps, cells/s) blocks are records only, which a replay ignores.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -280,10 +284,24 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = lru_cache(maxsize=1)(build_parser)  # built once per process; parse_args leaves a parser as it was
 
 
+def _environment(workers: int) -> dict:
+    """The host as numpy and os already know it; no subprocess or library probe."""
+    environment = {"numpy": np.__version__}
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy < 1.26 has no mode="dicts"
+        pass
+    else:
+        environment["blas"] = {"name": blas.get("name"), "version": blas.get("version")}
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {**environment, "cpu_count": os.cpu_count(), "usable_cpus": usable, "workers": workers}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = _resolve_config(args)
+        start = time.perf_counter()
         summary, tables, records = args.handler(config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -292,14 +310,21 @@ def main(argv: list[str] | None = None) -> int:
         label = "numerical error" if isinstance(exc, NumericalError) else "error"
         print(f"{label}: {exc}", file=sys.stderr)
         return 1
+    computed = time.perf_counter()
     directory = Path(config.output.directory)
     directory.mkdir(parents=True, exist_ok=True)
     files = [output.write_table(directory / name, columns, config.output.format) for name, columns in tables.items()]
     files += [output.write_json(directory / name, record) for name, record in records.items()]
+    timings = {"compute_s": computed - start, "write_s": time.perf_counter() - computed}
+    workers = config.sweep.workers if args.command == "sweep" else 1
+    if args.command == "sweep":
+        timings["cells_per_s"] = summary["cells"] / timings["compute_s"]
     arguments = {key: getattr(args, key) for key in _ARGUMENT_DEFAULTS if key in vars(args)}
-    files.append(output.write_run_sidecar(
-        directory, args.command, config.to_dict(), arguments, summary, files, __version__
-    ))
+    files.append(output.write_json(directory / "run.json", {
+        "tool": "floquet-ising", "version": __version__, "command": args.command, "config": config.to_dict(),
+        "arguments": arguments, "summary": summary, "outputs": [f.name for f in files],
+        "environment": _environment(workers), "timings": timings,
+    }))
     for key, value in summary.items():
         print(f"{key} = {value}")
     print("wrote " + ", ".join(str(f) for f in files))

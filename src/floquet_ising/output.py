@@ -46,24 +46,3 @@ def write_table(path: Path, columns: dict, fmt: str) -> Path:
         writer.writerow(arrays)
         writer.writerows(zip(*text))
     return path
-
-
-def write_run_sidecar(
-    directory: Path,
-    command: str,
-    config_dict: dict,
-    arguments: dict,
-    summary: dict,
-    outputs: list[Path],
-    version: str,
-) -> Path:
-    payload = {
-        "tool": "floquet-ising",
-        "version": version,
-        "command": command,
-        "config": config_dict,
-        "arguments": arguments,
-        "summary": summary,
-        "outputs": [p.name for p in outputs],
-    }
-    return write_json(directory / "run.json", payload)

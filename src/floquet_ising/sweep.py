@@ -23,10 +23,20 @@ sweep; any other exception aborts it.
 Results are reduced by cell index, and every per-cell product and sum is
 taken one row at a time, so a sweep is a deterministic function of the
 grid, independent of worker count, block size and schedule.
+
+With workers > 1 the tasks run on one process pool per process: the first
+pooled sweep makes it and later ones with the same worker count reuse it.
+Workers see module state as of their start (a later monkeypatch does not
+reach them), and idle workers stay resident. A pool ends when the worker
+count changes (it is joined before the next one forks), when a worker dies
+(that call raises BrokenProcessPool, the next starts a fresh pool) and at
+exit; a process forked from its owner starts its own.
 """
 
 from __future__ import annotations
 
+import atexit
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,15 +193,39 @@ def _mirror_rows(grid: GridSpec) -> dict[int, int]:
     return partner
 
 
+# (pid, workers, executor): the pool of the process that made it, if any
+_pool = None
+
+
+def _shutdown_pool() -> None:
+    """End this process's pool and wait for it; a pool inherited through fork is only dropped."""
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown(wait=True)
+    _pool = None
+
+
 def _run(function, tasks: list[tuple], workers: int, chunksize: int = 1) -> list:
     if workers <= 1:
         return [function(task) for task in tasks]
     # imported here: it costs about a tenth of the package import, which
     # every serial run and every CLI command would otherwise pay
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(function, tasks, chunksize=chunksize))
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        # the old pool's threads are joined before the new pool forks
+        _shutdown_pool()
+        _pool = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
+    try:
+        return list(_pool[2].map(function, tasks, chunksize=chunksize))
+    except BrokenProcessPool:
+        # a worker died; the next pooled sweep starts a fresh pool
+        _shutdown_pool()
+        raise
+
+
+atexit.register(_shutdown_pool)
 
 
 def sweep_diagnostic(

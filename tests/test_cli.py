@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from floquet_ising import cli, states
@@ -231,6 +232,35 @@ class TestCommands:
         a = (out_a / "spectrum.csv").read_bytes()
         b = (out_b / "spectrum.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("args, workers", [
+        (["evolve", "--periods", "20"], 1),
+        (["sweep", "--diag", "fpi", "--h-count", "3", "--j-count", "2", "--workers", "2"], 2),
+    ], ids=["evolve", "sweep"])
+    def test_sidecar_records_environment_and_timings(self, tmp_path, args, workers):
+        assert main(args + ["-o", str(tmp_path / "a")]) == 0
+        sidecar = json.loads((tmp_path / "a" / "run.json").read_text())
+        environment, timings = sidecar["environment"], sidecar["timings"]
+        assert environment["numpy"] == np.__version__
+        if "blas" in environment:  # numpy >= 1.26
+            assert set(environment["blas"]) == {"name", "version"}
+        for key in ("cpu_count", "usable_cpus", "workers"):
+            assert type(environment[key]) is int and environment[key] >= 1
+        assert environment["workers"] == workers
+        keys = {"compute_s", "write_s"} | ({"cells_per_s"} if args[0] == "sweep" else set())
+        assert set(timings) == keys
+        assert all(type(value) is float and value > 0 for value in timings.values())
+        # a replay reads neither block: nonsense there changes nothing
+        sidecar["environment"] = {"workers": "many"}
+        sidecar["timings"] = None
+        (tmp_path / "a" / "run.json").write_text(json.dumps(sidecar))
+        assert main([args[0], "--config", str(tmp_path / "a" / "run.json"), "-o", str(tmp_path / "b")]) == 0
+        table = sidecar["outputs"][0]
+        assert (tmp_path / "a" / table).read_bytes() == (tmp_path / "b" / table).read_bytes()
+        replayed = json.loads((tmp_path / "b" / "run.json").read_text())
+        del replayed["config"]["output"], sidecar["config"]["output"]  # -o differs
+        assert (replayed["config"], replayed["arguments"]) == (sidecar["config"], sidecar["arguments"])
+        assert replayed["environment"]["workers"] == workers
 
     @pytest.mark.parametrize("args, table", [
         (["evolve", "--periods", "40"], "mz.csv"),

@@ -1,3 +1,14 @@
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -372,3 +383,121 @@ class TestDeterminismAndIsolation:
         monkeypatch.setattr(spectral, "subharmonic_weights", failing)
         with pytest.raises(NumericalError, match="injected block failure"):
             sweep_diagnostic(toy_grid, "weight")
+
+
+class TestPool:
+    """One pool per process: reused across pooled sweeps, replaced when the worker count changes or a worker dies."""
+
+    GRID = GridSpec(h_range=(0.3, 2.8, 3), j_range=(0.2, 1.5, 2))
+    ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(sweep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+
+    @staticmethod
+    def worker_pids() -> set:
+        return {p.pid for p in multiprocessing.active_children()}
+
+    @staticmethod
+    def alive(pid: int, wait: float = 10.0) -> bool:
+        """Whether pid still exists after up to `wait` seconds."""
+        deadline = time.monotonic() + wait
+        while True:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            if time.monotonic() >= deadline:
+                return True
+            time.sleep(0.05)
+
+    @pytest.fixture
+    def fork_threads(self, monkeypatch) -> list:
+        """The thread count at each fork of this process: a new pool must not fork beside an old pool's threads."""
+        counts, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: counts.append(threading.active_count()) or fork())
+        return counts
+
+    def test_reused_until_worker_count_changes(self, fork_threads):
+        first = sweep_diagnostic(self.GRID, "pi_fraction", SweepSettings(workers=2)).values
+        pids = self.worker_pids()
+        assert len(pids) == 2
+        second = sweep_diagnostic(self.GRID, "pi_fraction", SweepSettings(workers=2)).values
+        assert self.worker_pids() == pids
+        assert np.array_equal(first, second)
+        sweep_diagnostic(self.GRID, "pi_fraction", SweepSettings(workers=3))
+        assert len(self.worker_pids()) == 3 and not self.worker_pids() & pids
+        # joined before the new pool forked, not merely abandoned
+        assert not any(self.alive(pid, wait=0) for pid in pids)
+        assert len(fork_threads) >= 3 and set(fork_threads) == {1}
+
+    def test_killed_worker_fails_one_call(self, fork_threads):
+        settings = SweepSettings(workers=2)
+        sweep_diagnostic(self.GRID, "pi_fraction", settings)
+        victim = min(self.worker_pids())
+        os.kill(victim, signal.SIGKILL)
+        assert not self.alive(victim)
+        with pytest.raises(BrokenProcessPool):
+            sweep_diagnostic(self.GRID, "pi_fraction", settings)
+        values = sweep_diagnostic(self.GRID, "pi_fraction", settings).values
+        assert np.array_equal(values, sweep_diagnostic(self.GRID, "pi_fraction").values)
+        assert len(fork_threads) >= 2 and set(fork_threads) == {1}
+
+    def test_task_error_propagates_and_pool_survives(self):
+        # a patch cannot reach running workers, so the fault rides in the
+        # task: ModelSpec rejects the step order inside the worker
+        settings = SweepSettings(workers=2, n_max=20)
+        sweep_diagnostic(self.GRID, "pi_fraction", settings)
+        pids = self.worker_pids()
+        bad = GridSpec(h_range=self.GRID.h_range, j_range=self.GRID.j_range, step_order="bogus")
+        for diagnostic in ("pi_fraction", KAPPA_J):
+            with pytest.raises(ValueError, match="step_order"):
+                sweep_diagnostic(bad, diagnostic, settings)
+            values = sweep_diagnostic(self.GRID, diagnostic, settings).values
+            assert np.array_equal(values, sweep_diagnostic(self.GRID, diagnostic, SweepSettings(n_max=20)).values)
+        assert self.worker_pids() == pids
+
+    def test_forked_child_starts_its_own_pool(self):
+        # in a subprocess: the fork happens while the pool's threads run,
+        # which Python 3.12 warns about and -W error would fail
+        script = textwrap.dedent("""
+            import os, sys
+            import numpy as np
+            from floquet_ising import sweep
+            grid = sweep.GridSpec(h_range=(0.3, 2.8, 3), j_range=(0.2, 1.5, 2))
+            settings = sweep.SweepSettings(workers=2)
+            parent = sweep.sweep_diagnostic(grid, "pi_fraction", settings).values
+            pid = os.fork()
+            if pid == 0:
+                child = sweep.sweep_diagnostic(grid, "pi_fraction", settings).values
+                sys.exit(0 if np.array_equal(child, parent) else 3)
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], env=self.ENV, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_exit_ends_the_pool_quietly(self, tmp_path):
+        # under pytest with the CLI imported, a pool left alive at exit is
+        # collected after concurrent.futures is torn down, which prints an
+        # ignored AttributeError; the exit hook shuts it down first
+        pid_file = tmp_path / "pids.txt"
+        (tmp_path / "test_pooled.py").write_text(textwrap.dedent(f"""
+            import multiprocessing
+            from pathlib import Path
+            import floquet_ising.cli
+            from floquet_ising import sweep
+
+            def test_pooled():
+                grid = sweep.GridSpec(h_range=(0.3, 2.8, 3), j_range=(0.2, 1.5, 2))
+                pids = set()
+                for workers in (2, 3, 2):
+                    sweep.sweep_diagnostic(grid, "pi_fraction", sweep.SweepSettings(workers=workers))
+                    pids |= {{p.pid for p in multiprocessing.active_children()}}
+                Path({str(pid_file)!r}).write_text(" ".join(map(str, pids)))
+        """))
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_pooled.py"],
+                              cwd=tmp_path, env=self.ENV, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout
+        pids = [int(pid) for pid in pid_file.read_text().split()]
+        assert len(pids) == 7
+        assert not any(self.alive(pid) for pid in pids)
+        assert proc.stderr == ""
