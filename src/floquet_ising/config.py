@@ -110,6 +110,8 @@ class RunConfig:
             (m.boundary in ("auto",) + BOUNDARIES, f"model.boundary must be auto|ring|chain, got {m.boundary!r}"),
             (m.step_order in STEP_ORDERS, f"model.step_order must be one of {STEP_ORDERS}"),
             (1 <= m.n_qubits <= MAX_QUBITS, f"model.n_qubits must lie in 1..{MAX_QUBITS}, got {m.n_qubits}"),
+            (m.period > 0, f"model.period must be positive, got {m.period}"),
+            (0 < m.t1_fraction < 1, f"model.t1_fraction must lie in (0, 1), got {m.t1_fraction}"),
             (self.output.format in ("csv", "json"), f"output.format must be csv or json, got {self.output.format!r}"),
             (a.pair_tolerance >= 0,
              f"analysis.pair_tolerance must be positive, or 0 for the default, got {a.pair_tolerance}"),

@@ -6,8 +6,9 @@ the state advanced by repeated application of the one-period propagator
 serves every caller: it advances a block of cells together, one row per
 cell, so a grid block costs one propagator call per period. Its states
 are in the operator's frame L^-1 psi, L = diag((-i)^popcount), which no
-Z-basis probability can see. The block reader takes an operator; the
-per-spec functions are the one-cell case.
+Z-basis probability can see. The block reader takes an operator and,
+with a target, also reads d<X>/d theta; the per-spec functions and
+metrology.cfi_series are its one-cell cases.
 """
 
 from __future__ import annotations
@@ -74,21 +75,24 @@ def expectation_records(
     psi0: np.ndarray,
     n_max: int,
     observables: list[DiagonalObservable],
+    target: str | None = None,
 ) -> np.ndarray:
-    """<X_k> at t = nT for every cell, as a (cells, observables, n_max + 1) array.
+    """<X_k> at t = nT for every cell, as a (cells, rows, observables, n_max + 1) array.
 
-    Each period takes |chi|^2 once per row and reduces every observable
-    over it with einsum's own loop, not BLAS: each value is a row sum, so a
-    cell's record does not depend on the block.
+    Row 0 is <X_k>; with a target, row 1 is d<X_k>/d theta = 2 Re <d chi|X_k|chi>
+    from the same frame rows. Each period reduces every observable over
+    conj(chi) * row with einsum's own loop, not BLAS: each value is a row
+    sum, so a cell's record does not depend on the block.
     """
     for obs in observables:
         if len(obs.diag) != op.dim:
             raise ValueError(f"observable {obs.label!r} has dimension {len(obs.diag)}, state has {op.dim}")
     diags = np.array([obs.diag for obs in observables], dtype=float)
-    steps = op.frame_trajectory(psi0, n_max)
-    records = np.empty((op.cells, len(observables), n_max + 1))
+    steps = op.frame_trajectory(psi0, n_max, target)
+    records = np.empty((op.cells, 1 if target is None else 2, len(observables), n_max + 1))
     for n, block in enumerate(steps):
-        records[:, :, n] = np.einsum("cj,kj->ck", (block.conj() * block).real[:, 0], diags)
+        records[..., n] = np.einsum("crj,kj->crk", (block.conj() * block[:, :1]).real, diags)
+    records[:, 1:] *= 2.0
     return records
 
 
@@ -99,7 +103,7 @@ def stroboscopic_trajectory(
     observables: list[DiagonalObservable],
 ) -> list[TimeSeries]:
     """Evolve psi0 for n_max periods, recording each observable at every n: one cell's expectation_records."""
-    records = expectation_records(FloquetOperator(spec), psi0, n_max, observables)[0]
+    records = expectation_records(FloquetOperator(spec), psi0, n_max, observables)[0, 0]
     times = np.arange(n_max + 1)
     return [
         TimeSeries(times=times, values=records[k], label=obs.label, period=spec.protocol.period)

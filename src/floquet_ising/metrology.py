@@ -9,8 +9,9 @@ Hamiltonians are linear in their parameter, so d|psi_n>/d theta
 propagates alongside |psi_n> with no step-size tuning.
 
 The classical Fisher information of a diagonal observable X uses the
-error-propagation form F_C = (d<X>/d theta)^2 / Var(X), with the gradient
-taken from the same exact derivative states.
+error-propagation form F_C = (d<X>/d theta)^2 / Var(X). It has no loop of
+its own: <X>, <X^2> and the gradient are the rows of
+dynamics.expectation_records, read from the same exact derivative states.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DiagonalObservable
+from .dynamics import DiagonalObservable, expectation_records
 from .model import FloquetOperator, ModelSpec
 
 QFI = "qfi"
@@ -108,26 +109,13 @@ def cfi_series(
 ) -> FisherSeries:
     """Error-propagation CFI of a diagonal observable, with degeneracy flags.
 
-    The gradient d<X>/d theta = 2 Re <d psi|X|psi> comes from the exact
-    derivative recurrence.
+    One cell's expectation_records on [X, X^2]: the gradient
+    d<X>/d theta = 2 Re <d psi|X|psi> is the derivative row of X, from the
+    exact derivative recurrence.
     """
-    op = FloquetOperator(spec)
-    if len(observable.diag) != op.dim:
-        raise ValueError(
-            f"observable {observable.label!r} has dimension {len(observable.diag)}, state has {op.dim}"
-        )
-    diag = np.asarray(observable.diag, dtype=float)
-    square = diag * diag
-
-    steps = op.frame_trajectory(psi0, n_max, target)
-    expectations = np.empty(n_max + 1)
-    second_moments = np.empty(n_max + 1)
-    gradients = np.empty(n_max + 1)
-    for n, ((chi, dchi),) in enumerate(steps):
-        probs = (chi.conj() * chi).real
-        expectations[n] = probs @ diag
-        second_moments[n] = probs @ square
-        gradients[n] = 2.0 * np.vdot(dchi, diag * chi).real
+    square = DiagonalObservable(f"{observable.label}^2", np.square(observable.diag))
+    records = expectation_records(FloquetOperator(spec), psi0, n_max, [observable, square], target)[0]
+    (expectations, second_moments), (gradients, _) = records
 
     variances = second_moments - expectations**2
     values = np.full(n_max + 1, np.nan)

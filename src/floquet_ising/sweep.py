@@ -9,16 +9,18 @@ copied (the QFI series are equal), weight is that of the series signed
 by (-1)^n (P flips M_z), and pi_fraction and overlap come from the
 spectrum i^N p lambda (p the state's parity) and the same |<v|0..0>|^2.
 
-The recurrence diagnostics (weight, kappa_hx, kappa_j) split the
-row-major list of evaluated cells into contiguous, near-equal blocks: at
-least one per worker, each within a fixed byte budget for its (cells,
-rows, 2^N) state block. A block is one FloquetOperator evolved by one
-loop, reduced by one rfft (weight) or one least-squares solve (kappa);
-the recurrence raises no numerical errors, so a block succeeds or fails
-as a whole. The eigen diagnostics (pi_fraction, overlap) run one task
-per orbit, and an orbit whose numerics fail (a NumericalError or a
+Every diagnostic runs as one task type: the row-major list of evaluated
+cells is split into contiguous, near-equal blocks, and each block is one
+_block_values call. The recurrence diagnostics (weight, kappa_hx,
+kappa_j) take at least one block per worker, each within a fixed byte
+budget for its (cells, rows, 2^N) state block; a block is one
+FloquetOperator evolved by one loop, reduced by one rfft (weight) or one
+least-squares solve (kappa), and since the recurrence raises no numerical
+errors it succeeds or fails as a whole. The eigen diagnostics
+(pi_fraction, overlap) take 8 blocks per worker and solve each cell of a
+block in turn; an orbit whose numerics fail (a NumericalError or a
 LinAlgError) is recorded as nan in both cells instead of aborting the
-sweep; any other exception aborts it.
+sweep, and any other exception aborts it.
 
 Results are reduced by cell index, and every per-cell product and sum is
 taken one row at a time, so a sweep is a deterministic function of the
@@ -131,42 +133,42 @@ class PhaseDiagram:
         return columns
 
 
-def _orbit_values(task: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate an eigen diagnostic at one cell and, if flagged, at its mirror from the same eigensystem."""
-    diagnostic, grid, ((hx_t, j_t, mirrored),), settings = task
-    try:
-        analysis = quasienergy.detect_pi_pairs(
-            quasienergy.floquet_eigensystem(grid.model_at(hx_t, j_t)), settings.pair_tolerance
-        )
-        weights = np.abs(analysis.eigenvectors[0]) ** 2  # |<v|0..0>|^2
-        spectra = [(analysis, weights)]
-        if mirrored:
-            eigenvalues = np.exp(-1j * analysis.period * analysis.epsilons) * 1j**grid.n_qubits * analysis.parities
-            epsilons = quasienergy.fold_quasienergies(eigenvalues, analysis.period)
-            order = np.argsort(epsilons, kind="stable")
-            mirror = quasienergy.QuasienergyAnalysis(epsilons[order], None, analysis.period)
-            spectra.append((quasienergy.detect_pi_pairs(mirror, settings.pair_tolerance), weights[order]))
-        values = np.array([
-            spectrum.pair_fraction if diagnostic == PI_FRACTION else quasienergy.paired_weight(spectrum, w)
-            for spectrum, w in spectra
-        ])
-    except (NumericalError, np.linalg.LinAlgError):
-        # eigensolver edge cases at exact degeneracies must not destroy a
-        # long sweep; the orbit keeps a not-a-value marker. Any other
-        # exception is a bug and propagates.
-        values = np.full(1 + mirrored, np.nan)
-    return values[:1], values[1:]
-
-
 def _block_values(task: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a recurrence diagnostic on a block of cells with one operator, and on the flagged cells' mirrors."""
+    """Evaluate a diagnostic on a block of cells, and on the flagged cells' mirrors."""
     diagnostic, grid, cells, settings = task
+    if diagnostic in (PI_FRACTION, OVERLAP):
+        own, mirrors = [], []
+        for hx_t, j_t, flag in cells:
+            try:
+                analysis = quasienergy.detect_pi_pairs(
+                    quasienergy.floquet_eigensystem(grid.model_at(hx_t, j_t)), settings.pair_tolerance
+                )
+                weights = np.abs(analysis.eigenvectors[0]) ** 2  # |<v|0..0>|^2
+                spectra = [(analysis, weights)]
+                if flag:
+                    eigenvalues = np.exp(-1j * analysis.period * analysis.epsilons) * 1j**grid.n_qubits
+                    epsilons = quasienergy.fold_quasienergies(eigenvalues * analysis.parities, analysis.period)
+                    order = np.argsort(epsilons, kind="stable")
+                    mirror = quasienergy.QuasienergyAnalysis(epsilons[order], None, analysis.period)
+                    spectra.append((quasienergy.detect_pi_pairs(mirror, settings.pair_tolerance), weights[order]))
+                values = [
+                    spectrum.pair_fraction if diagnostic == PI_FRACTION else quasienergy.paired_weight(spectrum, w)
+                    for spectrum, w in spectra
+                ]
+            except (NumericalError, np.linalg.LinAlgError):
+                # eigensolver edge cases at exact degeneracies must not destroy a
+                # long sweep; the orbit keeps a not-a-value marker. Any other
+                # exception is a bug and propagates.
+                values = [np.nan] * (1 + flag)
+            own.append(values[0])
+            mirrors.extend(values[1:])
+        return np.array(own, dtype=float), np.array(mirrors, dtype=float)
     op = FloquetOperator([grid.model_at(hx_t, j_t) for hx_t, j_t, _ in cells])
     mirrored = np.array([flag for *_, flag in cells], dtype=bool)
     psi0 = all_zero_state(grid.n_qubits)
     if diagnostic == WEIGHT:
         n_max = settings.transient_discard + settings.spectrum_samples
-        mz = expectation_records(op, psi0, n_max, [total_magnetization(grid.n_qubits)])[:, 0]
+        mz = expectation_records(op, psi0, n_max, [total_magnetization(grid.n_qubits)])[:, 0, 0]
         signed = mz[mirrored] * np.where(np.arange(n_max + 1) % 2, -1.0, 1.0)
         weights = spectral.subharmonic_weights(np.concatenate((mz, signed)), settings.transient_discard,
                                                settings.spectrum_samples)[0]
@@ -205,9 +207,9 @@ def _shutdown_pool() -> None:
     _pool = None
 
 
-def _run(function, tasks: list[tuple], workers: int, chunksize: int = 1) -> list:
+def _run(tasks: list[tuple], workers: int) -> list:
     if workers <= 1:
-        return [function(task) for task in tasks]
+        return [_block_values(task) for task in tasks]
     # imported here: it costs about a tenth of the package import, which
     # every serial run and every CLI command would otherwise pay
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -218,7 +220,7 @@ def _run(function, tasks: list[tuple], workers: int, chunksize: int = 1) -> list
         _shutdown_pool()
         _pool = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
     try:
-        return list(_pool[2].map(function, tasks, chunksize=chunksize))
+        return list(_pool[2].map(_block_values, tasks))
     except BrokenProcessPool:
         # a worker died; the next pooled sweep starts a fresh pool
         _shutdown_pool()
@@ -241,18 +243,14 @@ def sweep_diagnostic(
     evaluated = [row for row in range(len(h_values)) if row not in partner.values()]
     cells = [(float(h_values[row]), float(j), row in partner) for row in evaluated for j in j_values]
     if diagnostic in (PI_FRACTION, OVERLAP):
-        tasks = [(diagnostic, grid, [cell], settings) for cell in cells]
-        function, chunksize = _orbit_values, max(1, len(tasks) // (8 * settings.workers))
+        count = 8 * settings.workers
     else:
         rows = 1 if diagnostic == WEIGHT else 2
         cap = max(1, BLOCK_BYTES // (rows * 16 << grid.n_qubits))
-        count = min(len(cells), max(settings.workers, -(-len(cells) // cap)))
-        tasks = [
-            (diagnostic, grid, [cells[i] for i in block], settings)
-            for block in np.array_split(np.arange(len(cells)), count)
-        ]
-        function, chunksize = _block_values, 1
-    results = _run(function, tasks, settings.workers, chunksize)
+        count = max(settings.workers, -(-len(cells) // cap))
+    blocks = np.array_split(np.arange(len(cells)), min(len(cells), count))
+    tasks = [(diagnostic, grid, [cells[i] for i in block], settings) for block in blocks]
+    results = _run(tasks, settings.workers)
     values = np.empty((len(h_values), len(j_values)))
     values[evaluated] = np.concatenate([own for own, _ in results]).reshape(-1, len(j_values))
     filled = [partner[row] for row in evaluated if row in partner]

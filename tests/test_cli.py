@@ -366,7 +366,9 @@ class TestCommands:
         (["spectrum", "--discard", "-1"], "analysis.transient_discard must be >= 0"),
         (["qfi", "--theta", "j", "--n-max", "0"], "analysis.n_max must be >= 1"),
         (["quasi", "-N", "13"], "model.n_qubits must lie in 1..12"),
-    ], ids=["h-count", "samples", "discard", "n-max", "n-qubits"])
+        (["evolve", "--period", "0"], "model.period must be positive"),
+        (["sweep", "--t1-fraction", "1.5"], "model.t1_fraction must lie in (0, 1)"),
+    ], ids=["h-count", "samples", "discard", "n-max", "n-qubits", "period", "t1-fraction"])
     def test_out_of_range_inputs_are_usage_errors(self, tmp_path, capsys, args, message):
         code = main(args + ["-o", str(tmp_path / "out")])
         assert code == 2

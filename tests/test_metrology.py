@@ -59,9 +59,15 @@ class TestRandomStartState:
         observables = [total_magnetization(n)] + ([pair_correlation(n)] if n > 1 else [])
         probs = np.abs(psi) ** 2
         expected = np.stack([probs @ obs.diag for obs in observables], axis=1)
-        assert close(expectation_records(op, psi0, self.N_MAX, observables), expected)
+        records = expectation_records(op, psi0, self.N_MAX, observables, target)
+        assert close(records[:, 0], expected)
         if target is None:
+            assert records.shape[1] == 1
             return
+
+        # the derivative row, 2 Re <dpsi|X|psi>, of both cells and every observable
+        gradients = np.stack([2.0 * np.sum(dpsi.conj() * obs.diag * psi, axis=-1).real for obs in observables], axis=1)
+        assert close(records[:, 1], gradients)
 
         assert close(qfi_records(op, target, psi0, self.N_MAX), reference_qfi(psi, dpsi))
 

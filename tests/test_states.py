@@ -53,7 +53,7 @@ class TestExpectation:
     def expectation(self, psi, diag):
         n_qubits = len(diag).bit_length() - 1
         op = FloquetOperator(ModelSpec.dimensionless(n_qubits, 1.0, 0.0, boundary="chain"))
-        return expectation_records(op, psi, 1, [DiagonalObservable("x", diag)])[0, 0, 0]
+        return expectation_records(op, psi, 1, [DiagonalObservable("x", diag)])[0, 0, 0, 0]
 
     def mz_diag(self, n):
         return (n - 2 * states.popcounts(n)).astype(float)

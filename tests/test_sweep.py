@@ -311,10 +311,14 @@ class TestExtendedPrecisionOracle:
 
 
 class TestDeterminismAndIsolation:
-    def test_worker_counts_agree(self, toy_grid):
-        serial = sweep_diagnostic(toy_grid, "weight", SweepSettings(workers=1))
-        parallel = sweep_diagnostic(toy_grid, "weight", SweepSettings(workers=2))
-        assert np.array_equal(serial.values, parallel.values)
+    @pytest.mark.parametrize("diagnostic", sweep.DIAGNOSTICS)
+    def test_worker_counts_agree(self, diagnostic):
+        # 30 evaluated cells in four mirror pairs of rows and a self-mirrored
+        # row; the eigen diagnostics split them into 8, 16 and 24 blocks
+        grid = GridSpec(h_range=(0.0, np.pi, 9), j_range=(0.0, np.pi, 6))
+        serial, *pooled = (sweep_diagnostic(grid, diagnostic, SweepSettings(workers=w)).values for w in (1, 2, 3))
+        for values in pooled:
+            assert np.array_equal(values, serial, equal_nan=True)
 
     @pytest.mark.parametrize("diagnostic", ["weight", KAPPA_HX, KAPPA_J])
     def test_block_size_independent(self, monkeypatch, diagnostic):
@@ -339,10 +343,10 @@ class TestDeterminismAndIsolation:
     def poison_row(monkeypatch, error, hx_t=np.pi / 4):
         """Make the eigensystem of every cell of the h_x T = hx_t row raise error.
 
-        Eigen diagnostics run one task per mirror orbit, so a failure stays
-        in its orbit: on toy_grid, h_x T = pi/4 (row 1) fills row 3, and
-        pi/2 (row 2) is its own mirror. Recurrence cells run in blocks and
-        raise no numerical errors.
+        Eigen blocks solve cell by cell, and a failure stays in its mirror
+        orbit: on toy_grid, h_x T = pi/4 (row 1) fills row 3, and pi/2
+        (row 2) is its own mirror. Recurrence blocks raise no numerical
+        errors.
         """
         real = quasienergy.floquet_eigensystem
 
