@@ -54,6 +54,7 @@ from .spectral import (
 from .states import all_zero_state
 from .sweep import (
     DIAGNOSTICS,
+    AnalysisSettings,
     GridSpec,
     PhaseDiagram,
     SweepSettings,
@@ -64,6 +65,7 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AnalysisSettings",
     "CHAIN",
     "CurvatureFit",
     "DIAGNOSTICS",

@@ -60,12 +60,13 @@ def _common_flags() -> argparse.ArgumentParser:
     model.add_argument("--t1-fraction", type=float, help="T1/T (default 0.5)")
     model.add_argument("--step-order", choices=list(STEP_ORDERS))
     model.add_argument("--couplings", help="comma list of per-bond J*T values")
+    defaults = sweep.AnalysisSettings
     analysis = parser.add_argument_group("analysis")
     analysis.add_argument("--discard", type=int, dest="transient_discard",
-                          help="transient periods to drop (default 50)")
+                          help=f"transient periods to drop (default {defaults.transient_discard})")
     analysis.add_argument("--samples", type=int, dest="spectrum_samples",
-                          help="spectral window length (default 512)")
-    analysis.add_argument("--n-max", type=int, help="metrology horizon in periods (default 200)")
+                          help=f"spectral window length (default {defaults.spectrum_samples})")
+    analysis.add_argument("--n-max", type=int, help=f"metrology horizon in periods (default {defaults.n_max})")
     analysis.add_argument("--pair-tolerance", type=float,
                           help="pi-pair gap tolerance (default 0.05*pi/T)")
     analysis.add_argument("--fit-window", type=float, help="tail fraction for curvature fits")
@@ -157,7 +158,7 @@ def _cmd_spectrum(config, args):
 
 def _cmd_quasi(config, args):
     spec = _build_model(config)
-    analysis, overlap = quasienergy.analyze(spec, all_zero_state(spec.n_qubits), config.pair_tolerance())
+    analysis, overlap = quasienergy.analyze(spec, all_zero_state(spec.n_qubits), config.analysis.pair_tolerance or None)
     pairs = np.array(analysis.pairs, dtype=int).reshape(-1, 2)
     tables = {
         "quasienergies.csv": {"alpha": np.arange(len(analysis.epsilons)), "epsilon": analysis.epsilons},
@@ -213,15 +214,7 @@ def _cmd_cfi(config, args):
 def _cmd_sweep(config, args):
     diagnostic = _DIAG_BY_FLAG[args.diag]
     grid = _grid(config)
-    settings = sweep.SweepSettings(
-        transient_discard=config.analysis.transient_discard,
-        spectrum_samples=config.analysis.spectrum_samples,
-        n_max=config.analysis.n_max,
-        pair_tolerance=config.pair_tolerance(),
-        fit_window=config.analysis.fit_window,
-        workers=config.sweep.workers,
-    )
-    diagram = sweep.sweep_diagnostic(grid, diagnostic, settings)
+    diagram = sweep.sweep_diagnostic(grid, diagnostic, sweep.SweepSettings(config.analysis, config.sweep.workers))
     if diagnostic == sweep.WEIGHT:
         sweep.classify_pd(diagram, config.analysis.pd_threshold)
     finite = diagram.values[np.isfinite(diagram.values)]

@@ -5,7 +5,8 @@ sections, key = value lines, # comments). The resolved configuration is
 echoed into every run's JSON sidecar, and that sidecar is itself accepted
 back as a config file, so any run can be reproduced from its own output;
 the subcommand flags it records under "arguments" are read by
-recorded_arguments.
+recorded_arguments. The [analysis] section is sweep.AnalysisSettings, the
+object a sweep reads, so each analysis setting is declared once.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .metrology import tail_window
 from .model import BOUNDARIES, FIELD_THEN_ISING, STEP_ORDERS
-from .quasienergy import default_pair_tolerance
 from .states import MAX_QUBITS
+from .sweep import AnalysisSettings
 
 
 @dataclass
@@ -32,16 +34,6 @@ class ModelSection:
     t1_fraction: float = 0.5
     step_order: str = FIELD_THEN_ISING
     couplings: str = ""  # optional comma list of per-bond J*T values
-
-
-@dataclass
-class AnalysisSection:
-    transient_discard: int = 50
-    spectrum_samples: int = 512
-    n_max: int = 200
-    pair_tolerance: float = 0.0  # 0 -> default 0.05 * pi / T
-    fit_window: float = 0.5
-    pd_threshold: float = 0.8
 
 
 @dataclass
@@ -63,7 +55,7 @@ class OutputSection:
 
 _SECTION_TYPES = {
     "model": ModelSection,
-    "analysis": AnalysisSection,
+    "analysis": AnalysisSettings,
     "sweep": SweepSection,
     "output": OutputSection,
 }
@@ -96,7 +88,7 @@ def _parse_value(raw: str, kind: type, where: str):
 @dataclass
 class RunConfig:
     model: ModelSection = field(default_factory=ModelSection)
-    analysis: AnalysisSection = field(default_factory=AnalysisSection)
+    analysis: AnalysisSettings = field(default_factory=AnalysisSettings)
     sweep: SweepSection = field(default_factory=SweepSection)
     output: OutputSection = field(default_factory=OutputSection)
 
@@ -113,8 +105,6 @@ class RunConfig:
             (m.period > 0, f"model.period must be positive, got {m.period}"),
             (0 < m.t1_fraction < 1, f"model.t1_fraction must lie in (0, 1), got {m.t1_fraction}"),
             (self.output.format in ("csv", "json"), f"output.format must be csv or json, got {self.output.format!r}"),
-            (a.pair_tolerance >= 0,
-             f"analysis.pair_tolerance must be positive, or 0 for the default, got {a.pair_tolerance}"),
             (0 < a.fit_window <= 1, f"analysis.fit_window must lie in (0, 1], got {a.fit_window}"),
             (0 < a.pd_threshold < 1, f"analysis.pd_threshold must lie in (0, 1), got {a.pd_threshold}"),
             (a.spectrum_samples >= 4 and a.spectrum_samples % 2 == 0,
@@ -127,6 +117,12 @@ class RunConfig:
         ):
             if not valid:
                 raise ConfigError(problem)
+        if not 0 <= a.pair_tolerance < math.pi / m.period / 2:
+            raise ConfigError(f"analysis.pair_tolerance must be 0 (default) or in (0, pi/(2T)), got {a.pair_tolerance}")
+        try:
+            tail_window(a.n_max + 1, a.fit_window)
+        except ValueError as exc:
+            raise ConfigError(f"analysis.fit_window {a.fit_window} of n_max {a.n_max} periods: {exc}") from exc
         per_bond = self.per_bond_couplings()
         if per_bond is not None and not all(math.isfinite(j) for j in per_bond):
             raise ConfigError(f"model.couplings must be finite, got {self.model.couplings!r}")
@@ -187,8 +183,3 @@ class RunConfig:
             return [float(x) for x in text.split(",")]
         except ValueError as exc:
             raise ConfigError(f"model.couplings must be a comma list of numbers, got {text!r}") from exc
-
-    def pair_tolerance(self) -> float:
-        if self.analysis.pair_tolerance > 0:
-            return self.analysis.pair_tolerance
-        return default_pair_tolerance(self.model.period)

@@ -274,9 +274,10 @@ def detect_pi_pairs(
     period = analysis.period
     if tolerance is None:
         tolerance = default_pair_tolerance(period)
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
     target = np.pi / period
+    # from pi/(2T) on, a gap nearer 0 than pi/T pairs: degenerate states count as pi-pairs
+    if not 0 < tolerance < target / 2:
+        raise ValueError(f"tolerance must be positive and below pi/(2T) = {target / 2}, got {tolerance}")
 
     eps = analysis.epsilons
     n = len(eps)
@@ -286,7 +287,7 @@ def detect_pi_pairs(
     circle = np.concatenate((folded[order], folded[order] + zone))
     # on the circle unrolled twice, the window of a state at x is
     # [x + reach, x + zone - reach): every other state at most once
-    reach = max(target - tolerance - PAIR_WINDOW_SLACK * zone, 0.0)
+    reach = target - tolerance - PAIR_WINDOW_SLACK * zone
     start = np.searchsorted(circle, circle[:n] + reach)
     counts = np.searchsorted(circle, circle[:n] + (zone - reach)) - start
     first = np.repeat(np.arange(n), counts)

@@ -22,6 +22,9 @@ block in turn; an orbit whose numerics fail (a NumericalError or a
 LinAlgError) is recorded as nan in both cells instead of aborting the
 sweep, and any other exception aborts it.
 
+Each block carries the sweep's AnalysisSettings, a run's [analysis]
+section, and reads only its own diagnostic's fields there.
+
 Results are reduced by cell index, and every per-cell product and sum is
 taken one row at a time, so a sweep is a deterministic function of the
 grid, independent of worker count, block size and schedule.
@@ -55,8 +58,6 @@ OVERLAP = "overlap"
 KAPPA_HX = "kappa_hx"
 KAPPA_J = "kappa_j"
 DIAGNOSTICS = (WEIGHT, PI_FRACTION, OVERLAP, KAPPA_HX, KAPPA_J)
-
-DEFAULT_PD_THRESHOLD = 0.8
 
 # byte budget of one (cells, rows, 2^N) complex block of recurrence cells,
 # 64 cells of 2 rows at N=7: large enough to spread each period's
@@ -103,15 +104,23 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True)
-class SweepSettings:
-    """Per-diagnostic knobs, defaulting to the analysis-wide choices."""
+@dataclass
+class AnalysisSettings:
+    """The analysis choices: a run's [analysis] section and every sweep's knobs."""
 
     transient_discard: int = 50
     spectrum_samples: int = 512
     n_max: int = 200
-    pair_tolerance: float | None = None  # None -> 0.05 * pi / T
+    pair_tolerance: float = 0.0  # 0 -> default 0.05 * pi / T
     fit_window: float = 0.5
+    pd_threshold: float = 0.8
+
+
+@dataclass(frozen=True)
+class SweepSettings:
+    """The analysis choices a sweep reads, and its worker count."""
+
+    analysis: AnalysisSettings = field(default_factory=AnalysisSettings)
     workers: int = 1
 
 
@@ -137,11 +146,12 @@ def _block_values(task: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a diagnostic on a block of cells, and on the flagged cells' mirrors."""
     diagnostic, grid, cells, settings = task
     if diagnostic in (PI_FRACTION, OVERLAP):
+        tolerance = settings.pair_tolerance or None
         own, mirrors = [], []
         for hx_t, j_t, flag in cells:
             try:
                 analysis = quasienergy.detect_pi_pairs(
-                    quasienergy.floquet_eigensystem(grid.model_at(hx_t, j_t)), settings.pair_tolerance
+                    quasienergy.floquet_eigensystem(grid.model_at(hx_t, j_t)), tolerance
                 )
                 weights = np.abs(analysis.eigenvectors[0]) ** 2  # |<v|0..0>|^2
                 spectra = [(analysis, weights)]
@@ -150,7 +160,7 @@ def _block_values(task: tuple) -> tuple[np.ndarray, np.ndarray]:
                     epsilons = quasienergy.fold_quasienergies(eigenvalues * analysis.parities, analysis.period)
                     order = np.argsort(epsilons, kind="stable")
                     mirror = quasienergy.QuasienergyAnalysis(epsilons[order], None, analysis.period)
-                    spectra.append((quasienergy.detect_pi_pairs(mirror, settings.pair_tolerance), weights[order]))
+                    spectra.append((quasienergy.detect_pi_pairs(mirror, tolerance), weights[order]))
                 values = [
                     spectrum.pair_fraction if diagnostic == PI_FRACTION else quasienergy.paired_weight(spectrum, w)
                     for spectrum, w in spectra
@@ -249,7 +259,7 @@ def sweep_diagnostic(
         cap = max(1, BLOCK_BYTES // (rows * 16 << grid.n_qubits))
         count = max(settings.workers, -(-len(cells) // cap))
     blocks = np.array_split(np.arange(len(cells)), min(len(cells), count))
-    tasks = [(diagnostic, grid, [cells[i] for i in block], settings) for block in blocks]
+    tasks = [(diagnostic, grid, [cells[i] for i in block], settings.analysis) for block in blocks]
     results = _run(tasks, settings.workers)
     values = np.empty((len(h_values), len(j_values)))
     values[evaluated] = np.concatenate([own for own, _ in results]).reshape(-1, len(j_values))
@@ -258,7 +268,7 @@ def sweep_diagnostic(
     return PhaseDiagram(grid=grid, field_name=diagnostic, values=values)
 
 
-def classify_pd(diagram: PhaseDiagram, threshold: float = DEFAULT_PD_THRESHOLD) -> np.ndarray:
+def classify_pd(diagram: PhaseDiagram, threshold: float = AnalysisSettings.pd_threshold) -> np.ndarray:
     """Boolean period-doubling flag per cell: subharmonic weight >= threshold."""
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")

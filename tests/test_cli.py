@@ -13,6 +13,7 @@ from floquet_ising.metrology import qfi_series
 from floquet_ising.model import ModelSpec
 from floquet_ising.quasienergy import RESIDUAL_TOL, UNIT_MODULUS_TOL
 from floquet_ising.spectral import subharmonic_weight
+from floquet_ising.sweep import AnalysisSettings, GridSpec, SweepSettings, sweep_diagnostic
 
 
 def read_csv(path):
@@ -29,7 +30,7 @@ class TestConfig:
         assert config.analysis.n_max == 200
         assert config.analysis.fit_window == 0.5
         assert config.analysis.pd_threshold == 0.8
-        assert config.pair_tolerance() == pytest.approx(0.05 * math.pi)
+        assert config.analysis.pair_tolerance == 0  # 0.05 pi/T
 
     def test_ini_roundtrip(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -368,7 +369,12 @@ class TestCommands:
         (["quasi", "-N", "13"], "model.n_qubits must lie in 1..12"),
         (["evolve", "--period", "0"], "model.period must be positive"),
         (["sweep", "--t1-fraction", "1.5"], "model.t1_fraction must lie in (0, 1)"),
-    ], ids=["h-count", "samples", "discard", "n-max", "n-qubits", "period", "t1-fraction"])
+        (["quasi", "--pair-tolerance", "1.6"], "analysis.pair_tolerance must be 0 (default) or in (0, pi/(2T))"),
+        (["qfi", "--theta", "j", "--n-max", "5"], "need at least 8 defined points in the fit window, got 3"),
+        (["cfi", "--theta", "j", "--fit-window", "0.01"], "analysis.fit_window 0.01 of n_max 200 periods"),
+        (["sweep", "--diag", "kappa-j", "--fit-window", "0.01"], "analysis.fit_window 0.01 of n_max 200 periods"),
+    ], ids=["h-count", "samples", "discard", "n-max", "n-qubits", "period", "t1-fraction", "pair-tolerance",
+            "qfi-fit-points", "cfi-fit-points", "sweep-fit-points"])
     def test_out_of_range_inputs_are_usage_errors(self, tmp_path, capsys, args, message):
         code = main(args + ["-o", str(tmp_path / "out")])
         assert code == 2
@@ -395,6 +401,29 @@ class TestCommands:
         assert code == 2
         assert "couplings" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
+
+    def test_sweep_pair_tolerance_reaches_pooled_workers(self, tmp_path):
+        args = ["sweep", "--diag", "overlap", "-N", "4", "--h-count", "6", "--j-count", "3", "--workers", "2"]
+        runs = {"tol": ["--pair-tolerance", "0.3"], "zero": ["--pair-tolerance", "0"], "flagless": []}
+        for name, extra in runs.items():
+            assert main(args + extra + ["-o", str(tmp_path / name)]) == 0
+        grid = GridSpec(h_range=(0.0, np.pi, 6), j_range=(0.0, np.pi, 3), n_qubits=4)
+        expected = sweep_diagnostic(grid, "overlap", SweepSettings(AnalysisSettings(pair_tolerance=0.3))).values
+        values = [float(row["value"]) for row in read_csv(tmp_path / "tol" / "sweep_overlap.csv")]
+        assert np.array_equal(values, expected.ravel(), equal_nan=True)
+        flagless = (tmp_path / "flagless" / "sweep_overlap.csv").read_bytes()
+        assert (tmp_path / "zero" / "sweep_overlap.csv").read_bytes() == flagless
+        assert (tmp_path / "tol" / "sweep_overlap.csv").read_bytes() != flagless
+
+    @pytest.mark.parametrize("command", ["evolve", "spectrum", "quasi", "qfi", "cfi", "sweep"])
+    def test_help_shows_analysis_defaults(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps help lines
+        defaults = AnalysisSettings()
+        for default in (defaults.transient_discard, defaults.spectrum_samples, defaults.n_max):
+            assert f"(default {default})" in text
 
     def test_invalid_model_is_reported(self, capsys):
         code = main(["quasi", "--n-qubits", "2", "--boundary", "ring"])

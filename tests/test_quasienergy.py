@@ -285,14 +285,10 @@ class TestPiPairs:
         lattice = (rng.integers(-7, 9, size=40) * zone / 16).astype(float)
         epsilons = np.concatenate((lattice, [np.pi / period, -np.pi / period + 1e-12, 0.5 * np.pi / period]))
         spread = rng.permutation(np.concatenate((epsilons, epsilons[:10] + 1e-3)))
-        # within 0.4 / T: only a tolerance beyond (pi - 0.4) / T pairs it
-        tight = rng.permutation(np.repeat(rng.uniform(-0.2, 0.2, size=6), 2)) / period
-        cases = [(spread, tolerance) for tolerance in (None, 0.3 / period, 1e-3 / period)]
-        # 4 / T exceeds pi / T: every pair is a candidate
-        cases += [(spread, 4.0 / period), (tight, 4.0 / period)]
-        for epsilons, tolerance in cases:
+        # 1.5 / T lies near the largest tolerance, pi / (2T), where the windows are widest
+        for tolerance in (None, 0.3 / period, 1e-3 / period, 1.5 / period):
             analysis = QuasienergyAnalysis(
-                epsilons=epsilons, eigenvectors=np.eye(len(epsilons)), period=period
+                epsilons=spread, eigenvectors=np.eye(len(spread)), period=period
             )
             paired = detect_pi_pairs(analysis, tolerance)
             pairs, gaps, used = detect_pi_pairs_dense(analysis, tolerance)
@@ -304,6 +300,12 @@ class TestPiPairs:
         analysis = floquet_eigensystem(pd_spec)
         with pytest.raises(ValueError, match="positive"):
             detect_pi_pairs(analysis, tolerance=0.0)
+        # from pi/(2T) on, degenerate states would pair: at the identity every state does
+        identity = floquet_eigensystem(ModelSpec.dimensionless(3, 0.0, 0.0))
+        for tolerance in (np.pi / 2, 3.2):
+            with pytest.raises(ValueError, match="positive"):
+                detect_pi_pairs(identity, tolerance)
+        assert detect_pi_pairs(identity, 1.5).pairs == []
 
 
 class TestOverlapWeight:

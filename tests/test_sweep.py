@@ -23,6 +23,7 @@ from floquet_ising.states import all_zero_state
 from floquet_ising.sweep import (
     KAPPA_HX,
     KAPPA_J,
+    AnalysisSettings,
     GridSpec,
     SweepSettings,
     classify_pd,
@@ -131,12 +132,12 @@ class TestCurvatureMaps:
     def test_free_row_closed_form(self):
         # J = 0: F_Q(h_x) = 4 N T1^2 t^2, so the fitted a is 8 N T1^2 = 2N
         grid = GridSpec(h_range=(0.8, 2.4, 3), j_range=(0.0, 1.0, 2), n_qubits=3)
-        diagram = sweep_diagnostic(grid, KAPPA_HX, SweepSettings(n_max=60))
+        diagram = sweep_diagnostic(grid, KAPPA_HX, SweepSettings(AnalysisSettings(n_max=60)))
         assert np.abs(diagram.values[:, 0] - 6.0).max() < 1e-9
 
     def test_zero_field_column_is_insensitive(self):
         grid = GridSpec(h_range=(0.0, 1.0, 2), j_range=(0.5, 1.5, 3), n_qubits=3)
-        diagram = sweep_diagnostic(grid, KAPPA_J, SweepSettings(n_max=60))
+        diagram = sweep_diagnostic(grid, KAPPA_J, SweepSettings(AnalysisSettings(n_max=60)))
         assert np.abs(diagram.values[0, :]).max() < 1e-9
 
 
@@ -192,7 +193,7 @@ class TestMirrorSymmetry:
                         boundary=boundary, step_order=order)
         assert sweep._mirror_rows(grid) == {0: 3, 1: 2}
         filled = [(row, b) for row in (3, 2) for b in range(4)]  # the sweep's fill order
-        settings = SweepSettings(n_max=60, transient_discard=10, spectrum_samples=64)
+        settings = SweepSettings(AnalysisSettings(n_max=60, transient_discard=10, spectrum_samples=64))
         psi0 = all_zero_state(n)
         specs = {(a, b): grid.model_at(h, j) for a, h in enumerate(grid.h_values())
                  for b, j in enumerate(grid.j_values())}
@@ -250,7 +251,7 @@ class TestBatchedOracle:
     def test_matches_per_cell_functions(self, n, boundary, order):
         grid = GridSpec(h_range=(0.4, 2.6, 2), j_range=(0.3, 1.57, 3), n_qubits=n,
                         boundary=boundary, step_order=order)
-        settings = SweepSettings(n_max=120)
+        settings = SweepSettings(AnalysisSettings(n_max=120))
         psi0 = all_zero_state(n)
         for diagnostic in ("weight", KAPPA_HX, KAPPA_J):
             values = sweep_diagnostic(grid, diagnostic, settings).values
@@ -261,7 +262,7 @@ class TestBatchedOracle:
                         expected = subharmonic_weight(magnetization_series(spec, psi0, 562)).weight
                     else:
                         target = TARGET_HX if diagnostic == KAPPA_HX else TARGET_J
-                        expected = curvature_fit(qfi_series(spec, target, psi0, settings.n_max)).a
+                        expected = curvature_fit(qfi_series(spec, target, psi0, settings.analysis.n_max)).a
                     assert abs(values[a, b] - expected) <= self.TOL * (1 + abs(expected))
 
 
@@ -289,24 +290,24 @@ class TestExtendedPrecisionOracle:
 
     def test_weight_n5(self):
         grid, specs, psi0 = self.cells(5, (1, 40), (12, 30))
-        settings = SweepSettings()
+        settings = AnalysisSettings()
         n_max = settings.transient_discard + settings.spectrum_samples
         psi, _ = reference_trajectory(specs, psi0, n_max, dtype=np.clongdouble)
         mz = (np.abs(psi) ** 2 @ total_magnetization(5).diag.astype(np.longdouble)).astype(float)
         expected = subharmonic_weights(mz, settings.transient_discard, settings.spectrum_samples)[0]
-        values = sweep_diagnostic(grid, "weight", settings).values.ravel()
+        values = sweep_diagnostic(grid, "weight", SweepSettings(settings)).values.ravel()
         assert np.abs(values - expected).max() <= self.WEIGHT_TOL
 
     @pytest.mark.parametrize("diagnostic", [KAPPA_HX, KAPPA_J])
     def test_kappa_n7(self, diagnostic):
         grid, specs, psi0 = self.cells(7, (1, 44), (23, 30))
-        settings = SweepSettings()
+        settings = AnalysisSettings()
         target = TARGET_HX if diagnostic == KAPPA_HX else TARGET_J
         psi, dpsi = reference_trajectory(specs, psi0, settings.n_max, target, dtype=np.clongdouble)
         qfi = reference_qfi(psi, dpsi).astype(float)
         window = tail_window(settings.n_max + 1, settings.fit_window)
         expected = quadratic_fits(np.arange(settings.n_max + 1)[window] * grid.period, qfi[:, window])[0][:, 0]
-        values = sweep_diagnostic(grid, diagnostic, settings).values.ravel()
+        values = sweep_diagnostic(grid, diagnostic, SweepSettings(settings)).values.ravel()
         assert np.abs(values - expected).max() <= self.KAPPA_TOL
 
 
@@ -329,7 +330,7 @@ class TestDeterminismAndIsolation:
         for size in (1, 7, 45):
             monkeypatch.setattr(sweep, "BLOCK_BYTES", size * rows * 16 << grid.n_qubits)
             for workers in (1, 2):
-                settings = SweepSettings(n_max=60, workers=workers)
+                settings = SweepSettings(AnalysisSettings(n_max=60), workers)
                 diagrams.append(sweep_diagnostic(grid, diagnostic, settings).values)
         for values in diagrams[1:]:
             assert np.abs(values - diagrams[0]).max() <= 1e-12
@@ -448,7 +449,7 @@ class TestPool:
     def test_task_error_propagates_and_pool_survives(self):
         # a patch cannot reach running workers, so the fault rides in the
         # task: ModelSpec rejects the step order inside the worker
-        settings = SweepSettings(workers=2, n_max=20)
+        settings = SweepSettings(AnalysisSettings(n_max=20), workers=2)
         sweep_diagnostic(self.GRID, "pi_fraction", settings)
         pids = self.worker_pids()
         bad = GridSpec(h_range=self.GRID.h_range, j_range=self.GRID.j_range, step_order="bogus")
@@ -456,7 +457,8 @@ class TestPool:
             with pytest.raises(ValueError, match="step_order"):
                 sweep_diagnostic(bad, diagnostic, settings)
             values = sweep_diagnostic(self.GRID, diagnostic, settings).values
-            assert np.array_equal(values, sweep_diagnostic(self.GRID, diagnostic, SweepSettings(n_max=20)).values)
+            serial = SweepSettings(AnalysisSettings(n_max=20))
+            assert np.array_equal(values, sweep_diagnostic(self.GRID, diagnostic, serial).values)
         assert self.worker_pids() == pids
 
     def test_forked_child_starts_its_own_pool(self):
