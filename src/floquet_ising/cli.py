@@ -32,13 +32,7 @@ from .errors import NumericalError
 from .model import CHAIN, RING, STEP_ORDERS, TARGETS, ModelSpec
 from .states import all_zero_state
 
-_DIAG_BY_FLAG = {
-    "weight": sweep.WEIGHT,
-    "fpi": sweep.PI_FRACTION,
-    "overlap": sweep.OVERLAP,
-    "kappa-hx": sweep.KAPPA_HX,
-    "kappa-j": sweep.KAPPA_J,
-}
+_DIAG_BY_FLAG = {flag: name for name, (flag, *_) in sweep.DIAGNOSTICS.items()}
 _OBSERVABLES = (MZ, CZZ)
 
 # Subcommand flags that run.json records under "arguments". A replay fills
@@ -215,8 +209,6 @@ def _cmd_sweep(config, args):
     diagnostic = _DIAG_BY_FLAG[args.diag]
     grid = _grid(config)
     diagram = sweep.sweep_diagnostic(grid, diagnostic, sweep.SweepSettings(config.analysis, config.sweep.workers))
-    if diagnostic == sweep.WEIGHT:
-        sweep.classify_pd(diagram, config.analysis.pd_threshold)
     finite = diagram.values[np.isfinite(diagram.values)]
     summary = {
         "diagnostic": diagnostic,
@@ -225,8 +217,8 @@ def _cmd_sweep(config, args):
         "min": float(finite.min()) if finite.size else None,
         "max": float(finite.max()) if finite.size else None,
     }
-    if diagram.classification is not None:
-        summary["pd_cells"] = int(diagram.classification.sum())
+    if diagnostic == "weight":
+        summary["pd_cells"] = int(sweep.classify_pd(diagram, config.analysis.pd_threshold).sum())
         summary["pd_threshold"] = config.analysis.pd_threshold
     return summary, {f"sweep_{diagram.field_name}.csv": diagram.columns()}, {}
 

@@ -6,7 +6,8 @@ echoed into every run's JSON sidecar, and that sidecar is itself accepted
 back as a config file, so any run can be reproduced from its own output;
 the subcommand flags it records under "arguments" are read by
 recorded_arguments. The [analysis] section is sweep.AnalysisSettings, the
-object a sweep reads, so each analysis setting is declared once.
+object a sweep reads, so each analysis setting is declared once. A file is
+only parsed: validate() checks the values once the flags have overridden it.
 """
 
 from __future__ import annotations
@@ -143,37 +144,29 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """Parse {section: {key: value}} over the defaults; validate() checks the result."""
         config = cls()
         for section, values in data.items():
             if section not in _SECTION_TYPES:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, value in values.items():
                 config.set(section, key, value)
-        return config.validate()
+        return config
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
+        """Parse INI sections, or a JSON object whose "config" block (a run sidecar's) is used if present."""
         path = Path(path)
         text = path.read_text()
-        if text.lstrip().startswith("{"):
-            data = json.loads(text)
-            # a run sidecar carries the resolved config under "config"
-            if "config" in data:
-                data = data["config"]
-            return cls.from_dict(data)
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         try:
+            if text.lstrip().startswith("{"):
+                data = json.loads(text)
+                return cls.from_dict(data.get("config", data))
+            parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
             parser.read_string(text, source=str(path))
-        except configparser.Error as exc:
+            return cls.from_dict({section: dict(parser.items(section)) for section in parser.sections()})
+        except (configparser.Error, ConfigError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        config = cls()
-        for section in parser.sections():
-            for key, value in parser.items(section):
-                try:
-                    config.set(section, key, value)
-                except ConfigError as exc:
-                    raise ConfigError(f"{path}: {exc}") from exc
-        return config.validate()
 
     def per_bond_couplings(self) -> list[float] | None:
         text = self.model.couplings.strip()

@@ -1,26 +1,27 @@
 """Parallel evaluation of diagnostics over (h_x T, J T) grids.
 
+DIAGNOSTICS declares each map diagnostic once: its --diag spelling, the
+state rows per cell of its recurrence block (None for an eigen diagnostic)
+and its block evaluator, a family function with its reader or target bound.
+
 A sweep plans over the drive's mirror orbits. With a = h_x T1,
 U_F(pi/2 - a) = (-i)^N P Z U_F(a) Z (P and Z the products of sigma_x and
 sigma_z), so two rows whose h_x T sum to pi / (2 t1_fraction) (pi at
-T1 = T/2) within 4 ulp form an orbit. Only the lower row is evaluated;
-the upper is filled by its diagnostic's rule: kappa_hx and kappa_j are
-copied (the QFI series are equal), weight is that of the series signed
-by (-1)^n (P flips M_z), and pi_fraction and overlap come from the
-spectrum i^N p lambda (p the state's parity) and the same |<v|0..0>|^2.
-
-Every diagnostic runs as one task type: the row-major list of evaluated
-cells is split into contiguous, near-equal blocks, and each block is one
-_block_values call. The recurrence diagnostics (weight, kappa_hx,
-kappa_j) take at least one block per worker, each within a fixed byte
-budget for its (cells, rows, 2^N) state block; a block is one
-FloquetOperator evolved by one loop, reduced by one rfft (weight) or one
-least-squares solve (kappa), and since the recurrence raises no numerical
-errors it succeeds or fails as a whole. The eigen diagnostics
-(pi_fraction, overlap) take 8 blocks per worker and solve each cell of a
-block in turn; an orbit whose numerics fail (a NumericalError or a
-LinAlgError) is recorded as nan in both cells instead of aborting the
-sweep, and any other exception aborts it.
+T1 = T/2) within 4 ulp form an orbit. Only the lower row is evaluated,
+and the family fills the upper. The row-major evaluated cells are split
+into contiguous, near-equal blocks, each one _block_values call.
+_recurrence_values evolves a block as one FloquetOperator, with at least
+one block per worker, each within a fixed byte budget for its (cells,
+rows, 2^N) state block. Without a target it takes the subharmonic weight
+by one rfft, a mirror's from the series signed by (-1)^n (P flips M_z);
+with one, the curvature by one least-squares solve, copied to a mirror
+(the QFI series are equal). It raises no numerical errors, so a block
+succeeds or fails as a whole. _eigen_values takes 8 blocks per worker,
+solves each cell in turn and reads its value off the pi-paired spectrum
+and |<v|0..0>|^2, a mirror's off the spectrum i^N p lambda (p the state's
+parity) and the same weights. An orbit whose numerics fail (a
+NumericalError or a LinAlgError) is nan in both cells instead of
+aborting the sweep; any other exception aborts it.
 
 Each block carries the sweep's AnalysisSettings, a run's [analysis]
 section, and reads only its own diagnostic's fields there.
@@ -43,6 +44,7 @@ from __future__ import annotations
 import atexit
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -51,13 +53,6 @@ from .dynamics import expectation_records, total_magnetization
 from .errors import NumericalError
 from .model import FIELD_THEN_ISING, TARGET_HX, TARGET_J, FloquetOperator, ModelSpec
 from .states import all_zero_state
-
-WEIGHT = "weight"
-PI_FRACTION = "pi_fraction"
-OVERLAP = "overlap"
-KAPPA_HX = "kappa_hx"
-KAPPA_J = "kappa_j"
-DIAGNOSTICS = (WEIGHT, PI_FRACTION, OVERLAP, KAPPA_HX, KAPPA_J)
 
 # byte budget of one (cells, rows, 2^N) complex block of recurrence cells,
 # 64 cells of 2 rows at N=7: large enough to spread each period's
@@ -142,53 +137,66 @@ class PhaseDiagram:
         return columns
 
 
-def _block_values(task: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a diagnostic on a block of cells, and on the flagged cells' mirrors."""
-    diagnostic, grid, cells, settings = task
-    if diagnostic in (PI_FRACTION, OVERLAP):
-        tolerance = settings.pair_tolerance or None
-        own, mirrors = [], []
-        for hx_t, j_t, flag in cells:
-            try:
-                analysis = quasienergy.detect_pi_pairs(
-                    quasienergy.floquet_eigensystem(grid.model_at(hx_t, j_t)), tolerance
-                )
-                weights = np.abs(analysis.eigenvectors[0]) ** 2  # |<v|0..0>|^2
-                spectra = [(analysis, weights)]
-                if flag:
-                    eigenvalues = np.exp(-1j * analysis.period * analysis.epsilons) * 1j**grid.n_qubits
-                    epsilons = quasienergy.fold_quasienergies(eigenvalues * analysis.parities, analysis.period)
-                    order = np.argsort(epsilons, kind="stable")
-                    mirror = quasienergy.QuasienergyAnalysis(epsilons[order], None, analysis.period)
-                    spectra.append((quasienergy.detect_pi_pairs(mirror, tolerance), weights[order]))
-                values = [
-                    spectrum.pair_fraction if diagnostic == PI_FRACTION else quasienergy.paired_weight(spectrum, w)
-                    for spectrum, w in spectra
-                ]
-            except (NumericalError, np.linalg.LinAlgError):
-                # eigensolver edge cases at exact degeneracies must not destroy a
-                # long sweep; the orbit keeps a not-a-value marker. Any other
-                # exception is a bug and propagates.
-                values = [np.nan] * (1 + flag)
-            own.append(values[0])
-            mirrors.extend(values[1:])
-        return np.array(own, dtype=float), np.array(mirrors, dtype=float)
+def _eigen_values(value, grid, cells, analysis) -> tuple[np.ndarray, np.ndarray]:
+    """value(spectrum, |<v|0..0>|^2) of each cell of a block, solved in turn, and of the flagged cells' mirrors."""
+    tolerance = analysis.pair_tolerance or None
+    own, mirrors = [], []
+    for hx_t, j_t, flag in cells:
+        try:
+            spectrum = quasienergy.detect_pi_pairs(quasienergy.floquet_eigensystem(grid.model_at(hx_t, j_t)), tolerance)
+            weights = np.abs(spectrum.eigenvectors[0]) ** 2
+            spectra = [(spectrum, weights)]
+            if flag:
+                eigenvalues = np.exp(-1j * spectrum.period * spectrum.epsilons) * 1j**grid.n_qubits
+                epsilons = quasienergy.fold_quasienergies(eigenvalues * spectrum.parities, spectrum.period)
+                order = np.argsort(epsilons, kind="stable")
+                mirror = quasienergy.QuasienergyAnalysis(epsilons[order], None, spectrum.period)
+                spectra.append((quasienergy.detect_pi_pairs(mirror, tolerance), weights[order]))
+            values = [value(*pair) for pair in spectra]
+        except (NumericalError, np.linalg.LinAlgError):
+            # eigensolver edge cases at exact degeneracies must not destroy a
+            # long sweep; the orbit keeps a not-a-value marker. Any other
+            # exception is a bug and propagates.
+            values = [np.nan] * (1 + flag)
+        own.append(values[0])
+        mirrors.extend(values[1:])
+    return np.array(own, dtype=float), np.array(mirrors, dtype=float)
+
+
+def _recurrence_values(target, grid, cells, analysis) -> tuple[np.ndarray, np.ndarray]:
+    """A block's cells evolved together: the subharmonic weight without a target, else the target's curvature."""
     op = FloquetOperator([grid.model_at(hx_t, j_t) for hx_t, j_t, _ in cells])
     mirrored = np.array([flag for *_, flag in cells], dtype=bool)
     psi0 = all_zero_state(grid.n_qubits)
-    if diagnostic == WEIGHT:
-        n_max = settings.transient_discard + settings.spectrum_samples
+    if target is None:
+        n_max = analysis.transient_discard + analysis.spectrum_samples
         mz = expectation_records(op, psi0, n_max, [total_magnetization(grid.n_qubits)])[:, 0, 0]
         signed = mz[mirrored] * np.where(np.arange(n_max + 1) % 2, -1.0, 1.0)
-        weights = spectral.subharmonic_weights(np.concatenate((mz, signed)), settings.transient_discard,
-                                               settings.spectrum_samples)[0]
+        weights = spectral.subharmonic_weights(np.concatenate((mz, signed)), analysis.transient_discard,
+                                               analysis.spectrum_samples)[0]
         return weights[: len(cells)], weights[len(cells) :]
-    target = TARGET_HX if diagnostic == KAPPA_HX else TARGET_J
-    window = metrology.tail_window(settings.n_max + 1, settings.fit_window)
-    qfi = metrology.qfi_records(op, target, psi0, settings.n_max)[:, window]
-    t = np.arange(settings.n_max + 1)[window] * grid.period
+    window = metrology.tail_window(analysis.n_max + 1, analysis.fit_window)
+    qfi = metrology.qfi_records(op, target, psi0, analysis.n_max)[:, window]
+    t = np.arange(analysis.n_max + 1)[window] * grid.period
     kappa = metrology.quadratic_fits(t, qfi)[0][:, 0]
     return kappa, kappa[mirrored]
+
+
+# name: (--diag spelling, state rows per recurrence cell or None, block evaluator); the
+# readers call through their modules when they run, so a patched function reaches them
+DIAGNOSTICS = {
+    "weight": ("weight", 1, partial(_recurrence_values, None)),
+    "pi_fraction": ("fpi", None, partial(_eigen_values, lambda spectrum, weights: spectrum.pair_fraction)),
+    "overlap": ("overlap", None, partial(_eigen_values, lambda *pair: quasienergy.paired_weight(*pair))),
+    "kappa_hx": ("kappa-hx", 2, partial(_recurrence_values, TARGET_HX)),
+    "kappa_j": ("kappa-j", 2, partial(_recurrence_values, TARGET_J)),
+}
+
+
+def _block_values(task: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a diagnostic on a block of cells, and on the flagged cells' mirrors."""
+    diagnostic, grid, cells, analysis = task
+    return DIAGNOSTICS[diagnostic][2](grid, cells, analysis)
 
 
 def _mirror_rows(grid: GridSpec) -> dict[int, int]:
@@ -245,17 +253,17 @@ def sweep_diagnostic(
 ) -> PhaseDiagram:
     """Evaluate one diagnostic on every grid cell (row-major in h, then J)."""
     if diagnostic not in DIAGNOSTICS:
-        raise ValueError(f"diagnostic must be one of {DIAGNOSTICS}, got {diagnostic!r}")
+        raise ValueError(f"diagnostic must be one of {tuple(DIAGNOSTICS)}, got {diagnostic!r}")
     settings = settings or SweepSettings()
     h_values = grid.h_values()
     j_values = grid.j_values()
     partner = _mirror_rows(grid)
     evaluated = [row for row in range(len(h_values)) if row not in partner.values()]
     cells = [(float(h_values[row]), float(j), row in partner) for row in evaluated for j in j_values]
-    if diagnostic in (PI_FRACTION, OVERLAP):
+    rows = DIAGNOSTICS[diagnostic][1]
+    if rows is None:
         count = 8 * settings.workers
     else:
-        rows = 1 if diagnostic == WEIGHT else 2
         cap = max(1, BLOCK_BYTES // (rows * 16 << grid.n_qubits))
         count = max(settings.workers, -(-len(cells) // cap))
     blocks = np.array_split(np.arange(len(cells)), min(len(cells), count))
@@ -272,8 +280,8 @@ def classify_pd(diagram: PhaseDiagram, threshold: float = AnalysisSettings.pd_th
     """Boolean period-doubling flag per cell: subharmonic weight >= threshold."""
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    if diagram.field_name != WEIGHT:
-        raise ValueError(f"classification needs a {WEIGHT!r} diagram, got {diagram.field_name!r}")
+    if diagram.field_name != "weight":
+        raise ValueError(f"classification needs a 'weight' diagram, got {diagram.field_name!r}")
     flags = diagram.values >= threshold
     diagram.classification = flags
     return flags

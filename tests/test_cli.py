@@ -294,6 +294,44 @@ class TestCommands:
         assert len(read_csv(tmp_path / "b" / "mz.csv")) == analysis.transient_discard + analysis.spectrum_samples + 1
         assert cli._parser() is cli._parser() and cli.build_parser() is not cli.build_parser()
 
+    @pytest.mark.parametrize("text, command, fix, rest", [
+        # the file's tolerance fails only beside its period (pi/(2T) = 0.785 at T = 2)
+        ("[model]\nperiod = 2\n[analysis]\npair_tolerance = 1.0\n", ["quasi"], ["--period", "1"],
+         ["--pair-tolerance", "1.0"]),
+        # the file's horizon leaves the fit window too few points
+        ("[analysis]\nn_max = 5\n", ["qfi", "--theta", "j"], ["--n-max", "100"], []),
+    ], ids=["quasi-period", "qfi-n-max"])
+    def test_flag_fixes_config_file_value(self, tmp_path, capsys, text, command, fix, rest):
+        # a file is validated only after the flags override it; rest is the file's other values as flags
+        ini = tmp_path / "c.ini"
+        ini.write_text(text)
+        assert main(command + ["--config", str(ini), "-o", str(tmp_path / "file")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "file").exists()
+        assert main(command + fix + ["--config", str(ini), "-o", str(tmp_path / "both")]) == 0
+        assert main(command + fix + rest + ["-o", str(tmp_path / "flags")]) == 0
+        tables = sorted(path.name for path in (tmp_path / "flags").iterdir())
+        assert sorted(path.name for path in (tmp_path / "both").iterdir()) == tables
+        for name in tables:
+            both, alone = ((tmp_path / run / name).read_bytes() for run in ("both", "flags"))
+            if name == "run.json":
+                both, alone = (json.loads(record)["config"] for record in (both, alone))
+                del both["output"], alone["output"]  # -o differs
+            assert both == alone, name
+
+    @pytest.mark.parametrize("flag, name", [
+        ("weight", "weight"), ("fpi", "pi_fraction"), ("overlap", "overlap"),
+        ("kappa-hx", "kappa_hx"), ("kappa-j", "kappa_j"),
+    ])
+    def test_every_diag_spelling(self, tmp_path, flag, name):
+        assert main(["sweep", "--diag", flag, "-N", "4", "--h-count", "5", "--j-count", "3", "--n-max", "30",
+                     "--discard", "10", "--samples", "64", "--workers", "1", "-o", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "run.json").read_text())["outputs"] == [f"sweep_{name}.csv"]
+        values = [float(row["value"]) for row in read_csv(tmp_path / f"sweep_{name}.csv")]
+        grid = GridSpec(h_range=(0.0, np.pi, 5), j_range=(0.0, np.pi, 3), n_qubits=4)
+        settings = SweepSettings(AnalysisSettings(n_max=30, transient_discard=10, spectrum_samples=64))
+        assert np.array_equal(values, sweep_diagnostic(grid, name, settings).values.ravel(), equal_nan=True)
+
     def test_bad_sidecar_argument_is_usage_error(self, tmp_path, capsys):
         sidecar = tmp_path / "run.json"
         sidecar.write_text(json.dumps({"config": RunConfig().to_dict(), "arguments": {"diag": "bogus"}}))

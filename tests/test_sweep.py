@@ -7,6 +7,7 @@ import textwrap
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +21,11 @@ from floquet_ising.model import CHAIN, FIELD_THEN_ISING, ISING_THEN_FIELD, RING,
 from floquet_ising.quasienergy import analyze
 from floquet_ising.spectral import subharmonic_weight, subharmonic_weights
 from floquet_ising.states import all_zero_state
-from floquet_ising.sweep import (
-    KAPPA_HX,
-    KAPPA_J,
-    AnalysisSettings,
-    GridSpec,
-    SweepSettings,
-    classify_pd,
-    sweep_diagnostic,
-)
+from floquet_ising.sweep import AnalysisSettings, GridSpec, SweepSettings, classify_pd, sweep_diagnostic
 
 from conftest import eigenspace_weights, reference_qfi, reference_trajectory, sorted_from_cut, tie_fragile
+
+KAPPA_HX, KAPPA_J = "kappa_hx", "kappa_j"
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +232,48 @@ class TestMirrorSymmetry:
             assert fractions[cell] == direct.pair_fraction, cell
             assert abs(overlaps[cell] - overlap) <= 1e-10, cell
         print(f"N={n} {boundary} {order}: {fragile} of {len(filled)} filled eigen cells tie-fragile")
+
+
+class TestDiagnosticTable:
+    """A map diagnostic is one sweep.DIAGNOSTICS entry: a test-only entry sweeps with no other edit."""
+
+    @staticmethod
+    def pi_splitting(spectrum) -> float:
+        """Smallest |gap - pi/T| of the spectrum's pi-pairs; inf without pairs."""
+        return float(np.min(np.abs(spectrum.gaps - np.pi / spectrum.period), initial=np.inf))
+
+    @pytest.mark.parametrize(
+        "n, boundary, order", [(3, RING, FIELD_THEN_ISING), (4, RING, ISING_THEN_FIELD), (5, CHAIN, FIELD_THEN_ISING)]
+    )
+    def test_added_eigen_entry_matches_per_cell_path(self, monkeypatch, n, boundary, order):
+        seen = []  # every spectrum the reader gets, in the sweep's order
+
+        def reader(spectrum, weights):
+            seen.append(spectrum)
+            return self.pi_splitting(spectrum)
+
+        entry = ("pi-splitting", None, partial(sweep._eigen_values, reader))
+        monkeypatch.setitem(sweep.DIAGNOSTICS, "pi_splitting", entry)
+        # rows 0 and 1 are evaluated and fill rows 3 and 2; run serially, since
+        # a patched entry does not reach running pool workers
+        grid = GridSpec(h_range=(0.2, np.pi - 0.2, 4), j_range=(0.0, 2.6, 4), n_qubits=n,
+                        boundary=boundary, step_order=order)
+        assert sweep._mirror_rows(grid) == {0: 3, 1: 2}
+        values = sweep_diagnostic(grid, "pi_splitting").values
+        evaluated = [(row, b) for row in (0, 1) for b in range(4)]
+        filled = [(3 - row, b) for row, b in evaluated]
+        assert len(seen) == 2 * len(evaluated)  # each cell's spectrum, then its mirror's
+        fragile = 0
+        for (a, b), spectrum in zip(evaluated + filled, seen[::2] + seen[1::2]):
+            direct, _ = analyze(grid.model_at(grid.h_values()[a], grid.j_values()[b]), all_zero_state(n))
+            if tie_fragile(direct.epsilons) or tie_fragile(spectrum.epsilons):
+                fragile += 1
+                continue
+            expected = self.pi_splitting(direct)
+            # an evaluated cell is the per-cell path itself; a filled one reads the
+            # derived spectrum, within 1e-12 of the direct one
+            assert values[a, b] == expected or (a > 1 and abs(values[a, b] - expected) <= 1e-11), (a, b)
+        print(f"N={n} {boundary} {order}: {fragile} of {len(seen)} pi_splitting cells tie-fragile")
 
 
 class TestBatchedOracle:
